@@ -73,7 +73,7 @@ Examples::
     python -m repro perf --scale tiny
     python -m repro perf --repeats 7 --out BENCH_sim.json
     python -m repro perf --check prior/BENCH_sim.json --max-slowdown 0.15
-    python -m repro perf --history BENCH_history.jsonl --min-speedup 1.5
+    python -m repro perf --history BENCH_history.jsonl
     python -m repro perf --profile 25
     REPRO_TRACE=trace.jsonl python -m repro perf --scale tiny --trace
     python -m repro trace summary trace.jsonl --top 5
@@ -96,7 +96,7 @@ Examples::
     python -m repro baseline update baselines/ci-tiny.json
     python -m repro serve --workers 4
     python -m repro submit --workloads tpcc tpce --schedulers base \\
-        --cores 1 2 --scales tiny --repeat 3 --wait
+        --cores 1 2 --scales tiny --wait
     python -m repro submit --workloads tpcc --priority 1 --wait
     python -m repro status --json
 """
@@ -823,12 +823,6 @@ def build_perf_parser() -> argparse.ArgumentParser:
                         metavar="F",
                         help="tolerated fractional events/s drop for "
                              "--check (default 0.15)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="F",
-                        help="exit nonzero unless the batch replay "
-                             "layer delivers at least this x-factor "
-                             "over the no-batch fast path "
-                             "(batch_speedup in the report)")
     parser.add_argument("--history", type=Path, default=None,
                         metavar="PATH",
                         help="also append the report as one JSON line "
@@ -842,8 +836,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
                              "(fast-forward runs taken, memo hit "
-                             "rate, batch record/replay tallies) in "
-                             "the report as 'kernel_counters'")
+                             "rate, event/instruction totals) in the "
+                             "report as 'kernel_counters'")
     return parser
 
 
@@ -875,15 +869,6 @@ def run_perf(argv: List[str]) -> Tuple[str, int]:
     write_bench(report, args.out)
     text = format_report(report) + f"\nwrote {args.out}"
     code = 0
-    if args.min_speedup is not None:
-        actual = float(report["batch_speedup"])
-        if actual < args.min_speedup:
-            text += (f"\nbatch layer below floor: x{actual:.2f} < "
-                     f"x{args.min_speedup:.2f}")
-            code = 1
-        else:
-            text += (f"\nbatch layer above floor: x{actual:.2f} >= "
-                     f"x{args.min_speedup:.2f}")
     if args.check is not None:
         if not args.check.exists():
             text += (f"\nno prior report at {args.check}; "
@@ -973,8 +958,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Start the persistent sweep service: a supervisor "
                     "plus N long-lived worker processes that keep "
-                    "trace memos, run tables, and the batch "
-                    "record/replay registry warm across jobs.  Jobs "
+                    "trace memos and run tables warm across jobs.  Jobs "
                     "arrive via 'repro submit' on a bounded, "
                     "priority-aware, file-backed queue; results land "
                     "in the same ResultCache/Manifest as 'repro "
@@ -1053,10 +1037,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         description="Enqueue a sweep grid as one job on the sweep "
                     "service's bounded priority queue.  The job is "
                     "durable: it survives a service restart and can "
-                    "be submitted before the service starts.  "
-                    "--repeat N re-executes each cell N times in "
-                    "total (later passes bypass the cache read) to "
-                    "prime the batch record/replay registry; --wait "
+                    "be submitted before the service starts.  --wait "
                     "blocks until the job finishes and prints its "
                     "outcome.",
     )
@@ -1068,12 +1049,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
                              "<cache-dir>/svc)")
     parser.add_argument("--priority", type=int, default=None,
                         help="0 (most urgent) .. 9; default 5")
-    parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="execute each cell N times in total "
-                             "(extra passes skip the cache read; "
-                             "results stay byte-identical)")
-    parser.add_argument("--force", action="store_true",
-                        help="re-execute cells even when cached")
     parser.add_argument("--block", action="store_true",
                         help="at queue capacity, wait for space "
                              "instead of failing")
@@ -1104,8 +1079,6 @@ def run_submit(argv: List[str]) -> Tuple[str, int]:
             root, specs,
             priority=(args.priority if args.priority is not None
                       else DEFAULT_PRIORITY),
-            repeat=args.repeat,
-            force=args.force,
             block=args.block,
             timeout=args.wait_timeout,
         )
@@ -1128,7 +1101,6 @@ def run_submit(argv: List[str]) -> Tuple[str, int]:
         f"{record.get('executed', 0)} executed, "
         f"{record.get('warm_hits', 0)} warm "
         f"({100.0 * (record.get('warm_rate') or 0.0):.1f}%), "
-        f"{record.get('batch_replays', 0)} batch replay(s), "
         f"wall {record.get('wall_s', 0.0):.3f}s "
         f"(queued {record.get('queue_wait_s', 0.0):.3f}s)",
         0,
@@ -1141,8 +1113,8 @@ def build_status_parser() -> argparse.ArgumentParser:
         prog="repro status",
         description="Report the sweep service's state: supervisor "
                     "liveness, queue depth vs capacity, per-worker "
-                    "warm-cache stats (cache hits, batch replays, "
-                    "trace-memo hit rate, restarts), and job "
+                    "warm-cache stats (cache hits, trace-memo hit "
+                    "rate, restarts), and job "
                     "outcomes.  Read-only and file-based: works "
                     "whether or not the service is running.",
     )

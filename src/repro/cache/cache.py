@@ -120,10 +120,10 @@ class Cache:
         self.stats = CacheStats()
         #: Monotonic mutation counter: every state change through the
         #: public API (fills, hits' tag/recency updates, invalidations,
-        #: flushes, tag rewrites) bumps it.  The batch replay layer
-        #: (repro.sim.batch) uses it as a conservative residency
-        #: signature -- a memoized hit-run delta or recorded slice is
-        #: only replayed when the version it was keyed on still holds.
+        #: flushes, tag rewrites) bumps it.  The engine's hit-run
+        #: fast-forward uses it as a conservative residency signature
+        #: -- a memoized hit-run delta is only reapplied when the
+        #: version it was keyed on still holds.
         #: The engine's inlined loops bump it in bulk (once per fill)
         #: at loop exit.
         self.version = 0

@@ -33,8 +33,8 @@ ENV_VAR = "REPRO_SIM_REFERENCE"
 #: Any value other than empty/"0" enables them.
 CHECK_ENV = "REPRO_SIM_CHECK"
 
-#: Environment variable disabling the batch replay layer (hit-run
-#: fast-forwarding and warm-slice memoization, :mod:`repro.sim.batch`).
+#: Environment variable disabling hit-run fast-forwarding in the age
+#: loops (:meth:`repro.sim.engine.SimulationEngine._run_events_tight_age`).
 #: Any value other than empty/"0" forces the scalar loops; results are
 #: byte-identical either way -- this is an escape hatch and an A/B
 #: switch for the differential tests, not a semantic knob.
@@ -52,5 +52,5 @@ def check_mode() -> bool:
 
 
 def nobatch_mode() -> bool:
-    """True when batch replay (FF + memoization) is disabled."""
+    """True when hit-run fast-forwarding is disabled."""
     return os.environ.get(NOBATCH_ENV, "") not in ("", "0")

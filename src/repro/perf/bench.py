@@ -8,12 +8,10 @@ kept -- the most reproducible statistic on a shared machine.  Before
 any timing is trusted, the two paths' full :class:`RunResult` dicts are
 compared; a mismatch raises rather than recording a meaningless number.
 
-Three series are timed: ``fast`` (the full kernel including the batch
-replay layer of :mod:`repro.sim.batch` -- its min reflects warm-slice
-replay, the steady state of repeated identical runs), ``fast_nobatch``
-(``REPRO_SIM_NOBATCH=1``: the interpreting kernel alone), and
-``reference``.  After timing, a replayed run is re-checked against the
-reference result byte for byte.
+Three series are timed: ``fast`` (the cold kernel: specialized loops
+with hit-run fast-forwarding), ``fast_nobatch`` (``REPRO_SIM_NOBATCH=1``:
+the same loops with fast-forwarding off, so its own gain stays
+measured), and ``reference``.
 
 The report is written as JSON (``BENCH_sim.json`` at the repo root by
 convention) so CI can archive it and reviews can diff it;
@@ -79,12 +77,11 @@ def run_bench(
     timing.
 
     With ``trace_counters`` the report additionally embeds
-    ``kernel_counters``: the engine's own attribution for one cold
-    (first-sighting) fast run -- fast-forward runs taken, memo hit
-    rate, event/instruction totals -- plus the batch layer's
-    record/replay tallies from the timed repeats, so a regression
-    report arrives with its own diagnosis (did ff stop taking runs?
-    did replay fall back?).  The extra run happens after all timing.
+    ``kernel_counters``: the engine's own attribution for one fast run
+    -- fast-forward runs taken, memo hit rate, event/instruction
+    totals -- so a regression report arrives with its own diagnosis
+    (did ff stop taking runs?).  The extra run happens after all
+    timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -104,8 +101,6 @@ def run_bench(
     events = sum(len(trace) for trace in traces)
     saved = os.environ.get(ENV_VAR)
     saved_nobatch = os.environ.get(NOBATCH_ENV)
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     bench_span = obs.span(
         "perf.bench", scale=scale, workload=workload,
         cores=config.num_cores)
@@ -126,12 +121,9 @@ def run_bench(
                     "fast and reference paths disagree; fix parity "
                     "before benchmarking (run the tests in "
                     "tests/test_parity.py)")
-            # Timed repeats.  The batch layer sees the fast runs as
-            # identical re-executions: the first timed repeat records,
-            # the rest replay -- keeping the min therefore reports the
-            # steady (replayed) throughput, which is what sweep reruns
-            # get.  The nobatch series times the same kernel with the
-            # layer disabled (the pre-batch fast path).
+            # Timed repeats, interleaved so host drift hits every
+            # series alike.  The nobatch series times the same kernel
+            # with hit-run fast-forwarding off.
             fast_wall = []
             nobatch_wall = []
             ref_wall = []
@@ -147,36 +139,17 @@ def run_bench(
                     _set_reference(True)
                     ref_wall.append(
                         _time_run(config, traces, "base", workload))
-            # A replayed run must still be byte-identical to the
-            # reference (the timed repeats discarded their results).
             _set_reference(False)
-            replay_result = simulate(config, traces, "base", workload)
-            if replay_result.to_dict() != ref_result.to_dict():
-                raise AssertionError(
-                    "a batch-replayed run diverged from the reference; "
-                    "fix repro.sim.batch before benchmarking")
             with obs.span("perf.schedulers"):
                 per_scheduler = {
                     name: round(
                         _time_run(config, traces, name, workload), 4)
                     for name in schedulers
                 }
-            # Snapshot the timed phase's batch tallies before the
-            # optional traced run below resets the registry.
-            registry = batch_replay.registry()
-            batch_counts = {
-                "recordings": registry.recordings,
-                "replays": registry.replays,
-                "fallbacks": registry.fallbacks,
-                "aborts": registry.aborts,
-            }
             kernel_counters = None
             if trace_counters:
                 kernel_counters = _traced_kernel_counters(
                     config, traces, workload)
-                kernel_counters.update(
-                    {f"batch_{k}": v for k, v in batch_counts.items()}
-                )
     finally:
         if saved is None:
             os.environ.pop(ENV_VAR, None)
@@ -212,8 +185,6 @@ def run_bench(
             "events_per_s": round(events / ref_s),
         },
         "speedup": round(ref_s / fast_s, 3),
-        "batch_speedup": round(nobatch_s / fast_s, 3),
-        "batch": batch_counts,
         "schedulers_wall_s": per_scheduler,
         "python": platform.python_version(),
         "timestamp": time.time(),
@@ -225,16 +196,12 @@ def run_bench(
 
 def _traced_kernel_counters(config, traces, workload: str
                             ) -> Dict[str, object]:
-    """Kernel self-attribution for one cold fast run.
+    """Kernel self-attribution for one fast run.
 
-    Resets the batch registry so the run is a first sighting -- the
-    interpreting kernel with hit-run fast-forwarding, not a memoized
-    replay -- and harvests the engine's ``sim.run`` span counters
-    through a private in-memory tracer (no sink, no effect on any
-    ambient ``REPRO_TRACE``).
+    Harvests the engine's ``sim.run`` span counters through a private
+    in-memory tracer (no sink, no effect on any ambient
+    ``REPRO_TRACE``).
     """
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     tracer = obs.Tracer()
     with obs.use(tracer):
         simulate(config, traces, "base", workload)
@@ -334,12 +301,7 @@ def profile_kernel(
     cores: Optional[int] = None,
     top: int = 25,
 ) -> str:
-    """cProfile one fast-path run; returns the top-``top`` report.
-
-    The registry is reset first so the profiled run is a *first*
-    sighting: the interpreting kernel (scalar loops plus hit-run
-    fast-forwarding) is what's measured, not a memoized replay of it.
-    """
+    """cProfile one fast-path run; returns the top-``top`` report."""
     import cProfile
     import io
     import pstats
@@ -348,8 +310,6 @@ def profile_kernel(
         else SCALES[scale](num_cores=cores)
     suite = WORKLOADS[workload](config.l1i_blocks, seed)
     traces = suite.generate_mix(transactions, seed=seed)
-    from repro.sim import batch as batch_replay
-    batch_replay.reset_registry()
     profiler = cProfile.Profile()
     profiler.enable()
     simulate(config, traces, "base", workload)
@@ -377,14 +337,10 @@ def format_report(report: Dict[str, object]) -> str:
     ]
     nobatch = report.get("fast_nobatch")
     if nobatch is not None:
-        batch = report.get("batch", {})
         lines.append(
-            f"  no-batch:  {nobatch['wall_s']:.3f}s "
-            f"({nobatch['events_per_s']:,} events/s; batch layer "
-            f"x{report['batch_speedup']:.2f}, "
-            f"{batch.get('recordings', 0)} recorded / "
-            f"{batch.get('replays', 0)} replayed / "
-            f"{batch.get('fallbacks', 0)} fallbacks)")
+            f"  no-ff:     {nobatch['wall_s']:.3f}s "
+            f"({nobatch['events_per_s']:,} events/s; fast-forward "
+            f"x{nobatch['wall_s'] / fast['wall_s']:.2f})")
     lines.append("  scheduler wall times (fast path):")
     for name, wall in report["schedulers_wall_s"].items():
         lines.append(f"    {name:7s} {wall:.3f}s")

@@ -26,7 +26,6 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import SystemConfig
 from repro.fastpath import nobatch_mode, reference_mode
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
-from repro.sim import batch as batch_replay
 from repro.sim.results import RunResult
 from repro.sim.thread import TxnThread
 from repro.trace.trace import TransactionTrace
@@ -96,16 +95,13 @@ class SimulationEngine:
         # REPRO_SIM_CHECK=1 arms the invariant oracles; like the
         # kernel choice, the decision is latched at construction.
         self.checker = make_checker(self)
-        # Batch replay layer (repro.sim.batch).  Hit-run fast-forward
-        # needs the age kernel, no armed oracles, and no NOBATCH
-        # override; the per-core memo maps a run's distinct-block tuple
-        # -> (residency signature, resident slots).  The signature is
-        # out-of-band mutations (l1i.version minus the fills the age
-        # loops accounted into it) plus the fill counters of the sets
-        # the run involves -- all monotonic, so a sum compares equal
-        # iff none of them moved.  Whole-slice record/replay is
-        # stricter still -- batch_replay.attach() decides and installs
-        # a recorder or replayer as self._batch.
+        # Hit-run fast-forward needs the age kernel, no armed oracles,
+        # and no NOBATCH override; the per-core memo maps a run's
+        # distinct-block tuple -> (residency signature, resident
+        # slots).  The signature is out-of-band mutations (l1i.version
+        # minus the fills the age loops accounted into it) plus the
+        # fill counters of the sets the run involves -- all monotonic,
+        # so a sum compares equal iff none of them moved.
         self._ff_enabled = (
             self._age_kernel
             and self.checker is None
@@ -121,8 +117,6 @@ class SimulationEngine:
         ]
         self.ff_runs = 0
         self.ff_memo_hits = 0
-        self._batch = None
-        batch_replay.attach(self)
 
     # ------------------------------------------------------------------
     # Event replay
@@ -151,17 +145,6 @@ class SimulationEngine:
         Returns:
             The number of events executed.
         """
-        batch = self._batch
-        if batch is not None:
-            executed = batch.dispatch(
-                core, thread, max_events, tag, stop_on_switch,
-                miss_log, stop_after_misses)
-            if executed is not None:
-                return executed
-            # Validation failed or the call shape left the recordable
-            # profile: the layer detaches itself permanently and the
-            # slice (and every later one) runs on the scalar loops.
-            self._batch = None
         if self._fast_kernel and not self.prefetcher_active:
             if self._age_kernel:
                 if miss_log is None and not stop_on_switch:
@@ -604,7 +587,7 @@ class SimulationEngine:
         i_stats.misses += i_misses
         i_stats.evictions += i_evictions
         # Bulk mutation-version accounting: each inline fill changed
-        # L1-I residency once (repro.sim.batch keys memos on this).
+        # L1-I residency once (the fast-forward memo keys on this).
         l1i.version += i_misses
         self._ff_fill_base[core] += i_misses
         l1d_stats.hits += d_hits
@@ -1259,14 +1242,6 @@ class SimulationEngine:
             ),
         )
         with span as sp:
-            if sp.armed:
-                reg = batch_replay.registry()
-                pre = (
-                    reg.recordings,
-                    reg.replays,
-                    reg.fallbacks,
-                    reg.aborts,
-                )
             result = self._run(workload_name)
             if sp.armed:
                 sp.add(
@@ -1275,23 +1250,6 @@ class SimulationEngine:
                 sp.add("instructions", self.total_instructions)
                 sp.add("ff_runs", self.ff_runs)
                 sp.add("ff_memo_hits", self.ff_memo_hits)
-                post = (
-                    reg.recordings,
-                    reg.replays,
-                    reg.fallbacks,
-                    reg.aborts,
-                )
-                for name, delta in zip(
-                    (
-                        "batch_recordings",
-                        "batch_replays",
-                        "batch_fallbacks",
-                        "batch_aborts",
-                    ),
-                    (p - q for p, q in zip(post, pre)),
-                ):
-                    if delta:
-                        sp.add(name, delta)
                 tracer = obs.tracer()
                 if tracer is not None:
                     metrics = tracer.metrics
@@ -1313,36 +1271,24 @@ class SimulationEngine:
         heapq.heapify(heap)
         self._in_heap = {core for _, core in heap}
         checker = self.checker
-        # The recorder (if attached) hooks the hierarchy's L2 access;
-        # keep a reference so it is unhooked -- and its recording
-        # stored or discarded -- however this run exits, even if the
-        # layer detaches itself mid-run.
-        batch = self._batch
-
-        try:
-            while self.finished_threads < len(self.threads):
-                if not heap:
-                    raise RuntimeError(
-                        "deadlock: unfinished threads but no runnable"
-                        " core"
-                    )
-                _, core = heapq.heappop(heap)
-                self._in_heap.discard(core)
-                if not scheduler.has_work(core):
-                    continue
-                scheduler.run_slice(core)
-                if checker is not None:
-                    checker.after_slice(core)
-                if scheduler.has_work(core):
-                    self._activate(heap, core)
-                # Schedulers may have handed work to other (parked)
-                # cores.
-                for other in scheduler.drain_wakeups():
-                    if scheduler.has_work(other):
-                        self._activate(heap, other)
-        finally:
-            if batch is not None:
-                batch.finish()
+        while self.finished_threads < len(self.threads):
+            if not heap:
+                raise RuntimeError(
+                    "deadlock: unfinished threads but no runnable core"
+                )
+            _, core = heapq.heappop(heap)
+            self._in_heap.discard(core)
+            if not scheduler.has_work(core):
+                continue
+            scheduler.run_slice(core)
+            if checker is not None:
+                checker.after_slice(core)
+            if scheduler.has_work(core):
+                self._activate(heap, core)
+            # Schedulers may have handed work to other (parked) cores.
+            for other in scheduler.drain_wakeups():
+                if scheduler.has_work(other):
+                    self._activate(heap, other)
 
         return self._collect(workload_name)
 

@@ -1,13 +1,13 @@
 """repro.svc — persistent sweep service with warm workers.
 
 Every ad-hoc ``repro sweep`` pays full cold start: fork-per-cell
-workers rebuild workload traces, run tables, and the batch
-record/replay registry, discarding exactly the warm state the kernel
-layers exist to exploit.  This package keeps that state alive: a
-supervisor (:mod:`repro.svc.supervisor`) plus N long-lived worker
-processes (:mod:`repro.svc.worker`) serve jobs from a bounded,
-priority-aware, file-backed queue (:mod:`repro.svc.queue`), with a
-file-protocol client (:mod:`repro.svc.client`) behind
+workers rebuild workload traces and their run tables, discarding
+exactly the warm state the runner's trace memo exists to keep.  This
+package keeps that state alive: a supervisor
+(:mod:`repro.svc.supervisor`) plus N long-lived worker processes
+(:mod:`repro.svc.worker`) serve jobs from a bounded, priority-aware,
+file-backed queue (:mod:`repro.svc.queue`), with a file-protocol
+client (:mod:`repro.svc.client`) behind
 ``repro serve`` / ``repro submit`` / ``repro status``.
 
 The contract that makes the service safe to adopt: results flow

@@ -39,20 +39,13 @@ class JobFailed(RuntimeError):
 def submit_job(svc_root: Union[Path, str],
                specs: Union[SweepSpec, Iterable[RunSpec]],
                priority: int = DEFAULT_PRIORITY,
-               repeat: int = 1,
-               force: bool = False,
                block: bool = False,
                timeout: Optional[float] = None) -> str:
     """Enqueue a job; returns its id immediately.
 
     ``specs`` may be a :class:`SweepSpec` (expanded client-side so the
     job record pins the exact cell list) or an iterable of
-    :class:`RunSpec`.  ``repeat`` asks the worker to re-execute each
-    cell that many times in total — the extra passes bypass the cache
-    read (results are still written, byte-identically) purely to prime
-    the batch record/replay registry: sight, record, replay.
-    ``force`` re-executes even cached cells once.  Backpressure:
-    at queue capacity this raises
+    :class:`RunSpec`.  Backpressure: at queue capacity this raises
     :class:`~repro.svc.queue.QueueFull` unless ``block`` is set.
     Every cell's config is materialized up front, so an invalid spec
     raises ``ValueError`` here instead of failing later in a worker.
@@ -62,8 +55,6 @@ def submit_job(svc_root: Union[Path, str],
     spec_list: List[RunSpec] = list(specs)
     if not spec_list:
         raise ValueError("job has no cells")
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
     for spec in spec_list:
         try:
             spec.build_config()
@@ -76,8 +67,6 @@ def submit_job(svc_root: Union[Path, str],
     queue = JobQueue(svc_root / "queue")
     payload = {
         "priority": int(priority),
-        "repeat": int(repeat),
-        "force": bool(force),
         "submitted_s": time.time(),
         "specs": [spec.to_dict() for spec in spec_list],
     }
@@ -173,9 +162,6 @@ def service_status(svc_root: Union[Path, str]) -> dict:
             "executed": beat.get("executed", 0),
             "failures": beat.get("failures", 0),
             "warm_hits": beat.get("warm_hits", 0),
-            "batch_replays": beat.get("batch_replays", 0),
-            "batch_records": beat.get("batch_records", 0),
-            "repeats": beat.get("repeats", 0),
             "trace_memo_hits": beat.get("trace_memo_hits", 0),
             "trace_memo_misses": beat.get("trace_memo_misses", 0),
         })
@@ -203,7 +189,6 @@ def service_status(svc_root: Union[Path, str]) -> dict:
                 "executed": record.get("executed"),
                 "warm_hits": record.get("warm_hits"),
                 "warm_rate": record.get("warm_rate"),
-                "batch_replays": record.get("batch_replays"),
                 "queue_wait_s": record.get("queue_wait_s"),
                 "wall_s": record.get("wall_s"),
             })
@@ -263,7 +248,6 @@ def format_status(status: dict) -> str:
         lines.append(
             f"    cells={worker['cells']} hits={worker['cache_hits']} "
             f"executed={worker['executed']} warm={worker['warm_hits']} "
-            f"batch_replays={worker['batch_replays']} "
             f"memo={worker['trace_memo_hits']}/"
             f"{worker['trace_memo_hits'] + worker['trace_memo_misses']} "
             f"restarts={worker['restarts']}")
@@ -272,7 +256,6 @@ def format_status(status: dict) -> str:
         if row["state"] in ("done", "failed"):
             label += (f" ({row['cells']} cells, "
                       f"{row.get('warm_hits') or 0} warm, "
-                      f"{row.get('batch_replays') or 0} batch replays, "
                       f"wall {row.get('wall_s') or 0:.3f}s)")
         lines.append(label)
     return "\n".join(lines)

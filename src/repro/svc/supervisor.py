@@ -22,11 +22,11 @@ Affinity routing is the warm-cache play: a cell is routed by a hash
 of exactly the identity the warm layers key on — the materialized
 config, the scheduler/team pair, and the trace-generation fields the
 runner's trace memo keys on — so identical (config, scheduler, trace)
-identities always land on the same worker.  The batch record/replay
-registry needs three sightings of one identity to reach replay
-(sight, record, replay); spreading those sightings across workers
-would reset the count, co-locating them is what converts repeat
-submissions into replay hits.
+identities always land on the same worker.  Each worker keeps a
+per-process trace memo (generated traces plus their derived run
+tables), so a cell that runs again on the service — a requeue, or a
+resubmission against a cleared cache — finds its traces already
+built.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ def svc_root_for(cache_dir: Path) -> Path:
 def affinity_identity(spec: RunSpec) -> str:
     """Canonical digest of the warm-state identity of a cell.
 
-    Hashes exactly what the warm layers key on: the materialized
-    config and scheduler/team pair (the batch record/replay identity,
-    minus the trace digests which are themselves a pure function of
-    the generation fields) plus the trace-memo key fields.  The
+    Hashes the materialized config and scheduler/team pair plus the
+    trace-memo key fields, so every run of one cell lands on the
+    worker whose trace memo already holds its traces.  The
     prefetcher is deliberately excluded: it changes the simulation but
     not the traces or run tables, so prefetcher variants of one cell
     still share a worker's warm trace memo.
@@ -282,8 +281,7 @@ class Supervisor:
                 self._apply_outcome({
                     "cell": cell.get("cell"), "job": cell.get("job"),
                     "key": cell.get("key"), "worker": index,
-                    "status": "failed", "hit": False, "warm": False,
-                    "batch_replays": 0, "batch_records": 0,
+                    "status": "failed", "hit": False,
                     "wall_s": 0.0, "attempts": attempts,
                     "error": (f"worker {index} died while running this "
                               f"cell {attempts} time(s)"),
@@ -310,8 +308,6 @@ class Supervisor:
 
     def _admit_job(self, job_id: str, payload: dict) -> None:
         specs = [RunSpec.from_dict(d) for d in payload["specs"]]
-        repeat = max(1, int(payload.get("repeat", 1)))
-        force = bool(payload.get("force", False))
         priority = int(payload.get("priority", DEFAULT_PRIORITY))
         now = time.time()
         submitted = float(payload.get("submitted_s", now))
@@ -321,7 +317,7 @@ class Supervisor:
         for idx, spec in enumerate(specs):
             key = spec_key(spec)
             cell_id = f"{job_id}.{idx:04d}"
-            if not force and repeat <= 1 and key in self.cache:
+            if key in self.cache:
                 # Settled without touching a worker — the service-side
                 # twin of the runner's cache short-circuit, manifest
                 # row included.
@@ -331,8 +327,8 @@ class Supervisor:
                     sweep=job_id, shard=None))
                 cells[cell_id] = {
                     "key": key, "worker": None, "status": "done",
-                    "hit": True, "warm": True, "batch_replays": 0,
-                    "wall_s": 0.0, "attempts": 0, "error": None,
+                    "hit": True, "wall_s": 0.0,
+                    "attempts": 0, "error": None,
                 }
                 obs.metric_inc("svc.cells.precached")
                 continue
@@ -342,22 +338,19 @@ class Supervisor:
                 worker_dir(self.svc_root, target) / "inbox" / name,
                 {
                     "cell": cell_id, "job": job_id, "key": key,
-                    "spec": spec.to_dict(), "repeat": repeat,
-                    "force": force, "attempts": 1,
+                    "spec": spec.to_dict(), "attempts": 1,
                     "priority": priority, "enqueued_s": submitted,
                 })
             cells[cell_id] = {
                 "key": key, "worker": target, "status": "pending",
-                "hit": False, "warm": False, "batch_replays": 0,
-                "wall_s": 0.0, "attempts": 1, "error": None,
+                "hit": False, "wall_s": 0.0,
+                "attempts": 1, "error": None,
             }
             obs.metric_inc("svc.cells.dispatched")
         record = {
             "id": job_id,
             "state": "running",
             "priority": priority,
-            "repeat": repeat,
-            "force": force,
             "submitted_s": submitted,
             "admitted_s": now,
             "queue_wait_s": round(max(0.0, now - submitted), 6),
@@ -401,8 +394,6 @@ class Supervisor:
             status=outcome.get("status", "failed"),
             worker=outcome.get("worker", cell.get("worker")),
             hit=bool(outcome.get("hit", False)),
-            warm=bool(outcome.get("warm", False)),
-            batch_replays=int(outcome.get("batch_replays", 0)),
             wall_s=float(outcome.get("wall_s", 0.0)),
             attempts=int(outcome.get("attempts", cell.get("attempts", 1))),
             error=outcome.get("error"),
@@ -416,18 +407,18 @@ class Supervisor:
     def _finalize(self, record: dict) -> None:
         cells = record["cells"].values()
         failed = sum(1 for c in cells if c["status"] == "failed")
-        warm = sum(1 for c in cells if c.get("warm"))
+        # A cell is warm when the result cache answered it.
+        hits = sum(1 for c in cells if c.get("hit"))
         record.update(
             state="failed" if failed else "done",
             finished_s=time.time(),
             done=sum(1 for c in cells if c["status"] == "done"),
             failed=failed,
-            cache_hits=sum(1 for c in cells if c.get("hit")),
+            cache_hits=hits,
             executed=sum(1 for c in cells
                          if c["status"] == "done" and not c.get("hit")),
-            warm_hits=warm,
-            warm_rate=round(warm / max(1, len(record["cells"])), 6),
-            batch_replays=sum(c.get("batch_replays", 0) for c in cells),
+            warm_hits=hits,
+            warm_rate=round(hits / max(1, len(record["cells"])), 6),
             wall_s=round(sum(c.get("wall_s", 0.0) for c in cells), 6),
         )
         record.pop("specs", None)  # only needed while cells can requeue
@@ -500,8 +491,7 @@ class Supervisor:
                 self._apply_outcome({
                     "cell": cell.get("cell"), "job": cell.get("job"),
                     "key": cell.get("key"), "worker": None,
-                    "status": "failed", "hit": False, "warm": False,
-                    "batch_replays": 0, "wall_s": 0.0,
+                    "status": "failed", "hit": False, "wall_s": 0.0,
                     "attempts": int(cell.get("attempts", 1)),
                     "error": "requeue budget spent across restarts",
                 })
@@ -533,8 +523,6 @@ class Supervisor:
                     {
                         "cell": cell_id, "job": record["id"],
                         "key": cell["key"], "spec": spec.to_dict(),
-                        "repeat": record.get("repeat", 1),
-                        "force": record.get("force", False),
                         "attempts": int(cell.get("attempts", 1)),
                         "priority": record.get("priority",
                                                DEFAULT_PRIORITY),

@@ -13,10 +13,8 @@ A worker owns three spool directories under
 
 The process keeps every warm layer alive across cells, which is the
 entire point of the service: the runner's per-process trace memo
-(:func:`repro.exp.runner.trace_memo_stats`), the traces' derived run
-tables, and the batch record/replay registry
-(:func:`repro.sim.batch.registry`) all persist because cells run
-*inline* — a single long-lived :class:`~repro.exp.runner.Runner` with
+(:func:`repro.exp.runner.trace_memo_stats`) and the traces' derived
+run tables persist because cells run *inline* — a single long-lived :class:`~repro.exp.runner.Runner` with
 ``jobs=1`` on a dedicated executor thread, not a fork per cell.
 
 Threading model: Python delivers signals to the main thread only, so
@@ -44,10 +42,8 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.exp.cache import ResultCache
-from repro.exp.manifest import Manifest
 from repro.exp.runner import Runner, trace_memo_stats
 from repro.exp.spec import RunSpec
-from repro.sim import batch
 from repro.svc.queue import _atomic_write_json
 
 #: Seconds between heartbeat file rewrites.
@@ -60,20 +56,6 @@ _IDLE_POLL = 0.02
 def worker_dir(svc_root: Path, index: int) -> Path:
     """The spool root of worker ``index``."""
     return Path(svc_root) / "workers" / str(index)
-
-
-class _NoReadCache(ResultCache):
-    """Write-through cache whose reads always miss.
-
-    Forced repeats (``repro submit --repeat N``) re-execute a cell to
-    prime the batch record/replay registry; routing them through this
-    wrapper keeps the cache short-circuit from eating the repeat while
-    every ``put`` still lands byte-identically in the real cache
-    directory (same canonical serialization, atomic replace).
-    """
-
-    def get(self, key):  # noqa: D102 - see class docstring
-        return None
 
 
 class Worker:
@@ -92,22 +74,14 @@ class Worker:
             spool.mkdir(parents=True, exist_ok=True)
         self.heartbeat_path = self.dir / "heartbeat.json"
         self.heartbeat_interval = heartbeat_interval
-        cache = ResultCache(cache_dir)
-        # The real runner shares the service-wide cache and manifest —
-        # the byte-identity contract hinges on using the same put/record
-        # code paths as a solo run.  The repeat runner never reads the
-        # cache and journals to a private audit file instead of the
-        # shared manifest (repeats are warm-up work, not results).
-        self.runner = Runner(jobs=1, cache=cache, timeout=timeout,
-                             retries=retries)
-        self.repeat_runner = Runner(
-            jobs=1, cache=_NoReadCache(cache_dir),
-            manifest=Manifest(self.dir / "repeats.jsonl"),
-            timeout=timeout, retries=retries)
+        # The runner shares the service-wide cache and manifest — the
+        # byte-identity contract hinges on using the same put/record
+        # code paths as a solo run.
+        self.runner = Runner(jobs=1, cache=ResultCache(cache_dir),
+                             timeout=timeout, retries=retries)
         self.counters: Dict[str, int] = {
             "cells": 0, "cache_hits": 0, "executed": 0, "failures": 0,
-            "warm_hits": 0, "batch_replays": 0, "batch_records": 0,
-            "repeats": 0,
+            "warm_hits": 0,
         }
         self._stop = threading.Event()
         self._current: Optional[str] = None
@@ -175,48 +149,32 @@ class Worker:
             })
             return
         self._current = cell.get("cell")
-        registry = batch.registry()
-        replays0, records0 = registry.replays, registry.recordings
         start = time.perf_counter()
         error: Optional[str] = None
         hit = False
-        repeat = max(1, int(cell.get("repeat", 1)))
         with obs.span(
             "svc.cell",
             worker=self.index,
             job=cell.get("job"),
             cell=cell.get("cell"),
             spec=spec.describe(),
-            repeat=repeat,
         ):
             try:
-                if cell.get("force"):
-                    self.repeat_runner.run([spec])
-                else:
-                    self.runner.run([spec])
-                    hit = self.runner.hits > 0
-                for _ in range(repeat - 1):
-                    self.repeat_runner.run([spec])
-                    self.counters["repeats"] += 1
+                self.runner.run([spec])
+                hit = self.runner.hits > 0
             except Exception as exc:  # noqa: BLE001 - reported upstream
                 error = f"{type(exc).__name__}: {exc}"
         wall = time.perf_counter() - start
-        replays = registry.replays - replays0
-        records = registry.recordings - records0
-        warm = error is None and (hit or replays > 0)
         self.counters["cells"] += 1
         if error is not None:
             self.counters["failures"] += 1
         elif hit:
             self.counters["cache_hits"] += 1
+            self.counters["warm_hits"] += 1
         else:
             self.counters["executed"] += 1
-        if warm:
-            self.counters["warm_hits"] += 1
-        self.counters["batch_replays"] += replays
-        self.counters["batch_records"] += records
         obs.metric_inc("svc.cells.done")
-        if warm:
+        if hit:
             obs.metric_inc("svc.cells.warm")
         obs.metric_observe("svc.cell.wall_us", wall * 1e6)
         self._finish(path, {
@@ -227,9 +185,6 @@ class Worker:
             "status": "failed" if error is not None else "done",
             "error": error,
             "hit": hit,
-            "warm": warm,
-            "batch_replays": replays,
-            "batch_records": records,
             "wall_s": round(wall, 6),
             "enqueued_s": cell.get("enqueued_s"),
             "attempts": int(cell.get("attempts", 1)),

@@ -138,10 +138,11 @@ class TransactionTrace:
     def content_key(self) -> str:
         """Stable digest of the trace's identity and event columns.
 
-        Used by the batch replay registry to key recorded simulations
-        on trace *content* rather than object identity, so equal
-        workloads regenerated from the same seed share a recording.
-        Memoized (traces are immutable by convention).
+        Equal workloads regenerated from the same seed have equal
+        keys.  No simulation path calls it; it stays part of the trace
+        API because ``bench/child.py`` wraps it by name when it times
+        the trace-precompute layer.  Memoized (traces are immutable by
+        convention).
         """
         digest = self._content_key
         if digest is None:
@@ -184,7 +185,7 @@ class TransactionTrace:
         return packed
 
     def run_tables(self, cpi: float, num_sets: int) -> Optional[tuple]:
-        """Hit-run tables for the engine's batch fast-forward.
+        """Hit-run tables for the engine's fast-forward.
 
         A *run* is a maximal span of instruction-only events (no
         data-side access, ``dblock < 0``); spans shorter than

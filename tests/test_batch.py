@@ -1,13 +1,12 @@
-"""The batch replay layer: hit-run fast-forwarding and warm-slice
-record/replay (``repro.sim.batch``).
+"""Hit-run fast-forwarding and the ``REPRO_SIM_NOBATCH`` switch.
 
-The contract under test is byte-identity: with the layer on, off
-(``REPRO_SIM_NOBATCH=1``), recording, or replaying, every simulation
-must serialize to exactly the same :func:`result_blob`.  On top of the
-differential sweep, unit tests pin the pieces the blobs alone don't:
-run-table construction, residency-signature invalidation on
-flush/invalidate, conservative fallback of a replayer on out-of-band
-mutation, and the oracle/NOBATCH bypasses.
+The contract under test is byte-identity: with fast-forwarding on or
+off (``REPRO_SIM_NOBATCH=1``), every simulation must serialize to
+exactly the same :func:`result_blob`.  On top of the differential
+sweep, unit tests pin the pieces the blobs alone don't: run-table
+construction, residency-signature invalidation on flush/invalidate,
+the trace content key, the cache mutation version, and the
+oracle/NOBATCH bypasses.
 """
 
 import random
@@ -19,7 +18,6 @@ from repro.cache.cache import Cache, ReferenceCache
 from repro.config import CacheConfig, tiny_scale
 from repro.exp.diff import result_blob
 from repro.fastpath import CHECK_ENV, ENV_VAR, NOBATCH_ENV
-from repro.sim import batch
 from repro.sim.api import SCHEDULERS, simulate
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import RUN_MIN_EVENTS, TransactionTrace
@@ -31,13 +29,10 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 
 @pytest.fixture(autouse=True)
 def clean_slate(monkeypatch):
-    """Fresh registry and unset mode flags for every test."""
+    """Unset mode flags for every test."""
     monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.delenv(CHECK_ENV, raising=False)
     monkeypatch.delenv(NOBATCH_ENV, raising=False)
-    batch.reset_registry()
-    yield
-    batch.reset_registry()
 
 
 def _mix(transactions=8, seed=7, cores=2):
@@ -56,158 +51,47 @@ def _nobatch_blob(monkeypatch, config, traces, scheduler="base"):
 
 
 class TestRecordReplayDifferential:
-    def test_triple_run_identical_and_replay_engaged(self):
-        config, traces = _mix()
-        blobs = [
-            result_blob(simulate(config, traces, "base", "tpcc"))
-            for _ in range(3)
-        ]
-        assert blobs[0] == blobs[1] == blobs[2]
-        registry = batch.registry()
-        # 1st sighting runs plain, 2nd records, 3rd replays.
-        assert registry.recordings == 1
-        assert registry.replays == 1
-        assert registry.fallbacks == 0
-        assert registry.aborts == 0
+    """Fast-forward on vs off: one run each, byte-identical."""
 
     def test_matches_nobatch_byte_for_byte(self, monkeypatch):
         config, traces = _mix()
-        blobs = {
-            result_blob(simulate(config, traces, "base", "tpcc"))
-            for _ in range(3)
-        }
-        blobs.add(_nobatch_blob(monkeypatch, config, traces))
-        assert len(blobs) == 1
+        on = result_blob(simulate(config, traces, "base", "tpcc"))
+        assert on == _nobatch_blob(monkeypatch, config, traces)
 
     @pytest.mark.parametrize(
         "scheduler", ("base", "strex", "slicc", "hybrid", "smt"))
     def test_every_scheduler_matches_nobatch(self, monkeypatch,
                                              scheduler):
         """Fast-forwarding runs under every scheduler (the tight and
-        the monitored loops); record/replay only under base/SMT --
-        either way the bytes must not move."""
+        the monitored loops) -- the bytes must not move."""
         config, traces = _mix()
-        on = {
-            result_blob(simulate(config, traces, scheduler, "tpcc"))
-            for _ in range(3)
-        }
-        on.add(_nobatch_blob(monkeypatch, config, traces, scheduler))
-        assert len(on) == 1
-
-    def test_smt_records_and_replays(self):
-        config, traces = _mix()
-        for _ in range(3):
-            simulate(config, traces, "smt", "tpcc")
-        registry = batch.registry()
-        assert registry.recordings == 1
-        assert registry.replays == 1
-
-    def test_strex_is_not_replay_eligible(self):
-        """STREX consults live cache state (victim callbacks, tag
-        scans) between slices -- it must never be recorded."""
-        config, traces = _mix()
-        for _ in range(3):
-            simulate(config, traces, "strex", "tpcc")
-        registry = batch.registry()
-        assert registry.recordings == 0
-        assert registry.replays == 0
+        on = result_blob(simulate(config, traces, scheduler, "tpcc"))
+        assert on == _nobatch_blob(monkeypatch, config, traces,
+                                   scheduler)
 
     def test_corpus_batch_on_off(self, monkeypatch):
-        """Every committed fuzz case: three batch-on runs (record and
-        replay included) and a batch-off run, all byte-identical."""
+        """Every committed fuzz case: a fast-forward-on run and a
+        fast-forward-off run, byte-identical."""
         pairs = load_corpus(CORPUS_DIR)
         assert pairs, "committed corpus missing"
         for path, case in pairs:
-            batch.reset_registry()
             config = case.build_config()
             traces = case.build_traces()
             blobs = set()
-            for _ in range(3):
+            for nobatch in (False, True):
+                if nobatch:
+                    monkeypatch.setenv(NOBATCH_ENV, "1")
+                else:
+                    monkeypatch.delenv(NOBATCH_ENV, raising=False)
                 blobs.add(result_blob(simulate(
                     config, traces, case.scheduler,
                     workload_name=case.workload,
                     prefetcher=case.prefetcher,
                     team_size=case.team_size,
                 )))
-            monkeypatch.setenv(NOBATCH_ENV, "1")
-            try:
-                blobs.add(result_blob(simulate(
-                    config, traces, case.scheduler,
-                    workload_name=case.workload,
-                    prefetcher=case.prefetcher,
-                    team_size=case.team_size,
-                )))
-            finally:
-                monkeypatch.delenv(NOBATCH_ENV)
-            assert len(blobs) == 1, f"batch on/off diverged: {path}"
-
-
-class TestReplayerFallback:
-    def test_out_of_band_mutation_falls_back_correctly(self):
-        config, traces = _mix()
-        baseline = result_blob(simulate(config, traces, "base", "tpcc"))
-        simulate(config, traces, "base", "tpcc")  # records
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert isinstance(engine._batch, batch._Replayer)
-        # Semantically a no-op on the still-empty cache, but it bumps
-        # the mutation version -- the replayer must notice and detach.
-        engine.hier.l1i[0].flush()
-        result = engine.run("tpcc")
-        assert result_blob(result) == baseline
-        registry = batch.registry()
-        assert registry.fallbacks == 1
-        assert registry.replays == 0
-
-    def test_replay_materializes_full_state(self):
-        """A replayed engine must end in the recorded engine's exact
-        state, not just produce the same result object."""
-        config, traces = _mix()
-        engines = []
-        for _ in range(3):
-            engine = SimulationEngine(
-                config, traces, SCHEDULERS["base"])
-            engine.run("tpcc")
-            engines.append(engine)
-        recorded, replayed = engines[1], engines[2]
-        assert isinstance(replayed._batch, batch._Replayer)
-        assert batch.registry().replays == 1
-        assert replayed.core_time == recorded.core_time
-        assert replayed.total_instructions == \
-            recorded.total_instructions
-        for a, b in zip(
-            list(recorded.hier.l1i) + list(recorded.hier.l1d)
-                + list(recorded.hier.l2),
-            list(replayed.hier.l1i) + list(replayed.hier.l1d)
-                + list(replayed.hier.l2),
-        ):
-            assert a.stats.snapshot() == b.stats.snapshot()
-            assert a._where == b._where
-            assert a._slot_blocks == b._slot_blocks
-            assert a.policy._ages == b.policy._ages
-            assert a.policy._tick == b.policy._tick
-            assert a.version == b.version
-        assert recorded.hier.dram.row_hits == \
-            replayed.hier.dram.row_hits
-        assert recorded.hier.noc.messages == \
-            replayed.hier.noc.messages
-        assert recorded.hier.l2_demand_traffic == \
-            replayed.hier.l2_demand_traffic
-        assert recorded.hier.coherence_misses == \
-            replayed.hier.coherence_misses
-
-    def test_call_shape_change_falls_back(self):
-        config, traces = _mix()
-        simulate(config, traces, "base", "tpcc")
-        simulate(config, traces, "base", "tpcc")
-        engine = SimulationEngine(config, traces, SCHEDULERS["base"])
-        assert isinstance(engine._batch, batch._Replayer)
-        thread = engine.threads[0]
-        log = []
-        executed = engine.run_events(0, thread, 16, miss_log=log)
-        assert executed == 16
-        assert log, "miss log must be live after fallback"
-        assert engine._batch is None
-        assert batch.registry().fallbacks == 1
+            monkeypatch.delenv(NOBATCH_ENV)
+            assert len(blobs) == 1, \
+                f"fast-forward on/off diverged: {path}"
 
 
 class TestFastForwardInvalidation:
@@ -243,8 +127,8 @@ class TestFastForwardInvalidation:
         assert shock_after == shock_before + 1
 
     def test_results_unchanged_by_mid_run_flush(self, monkeypatch):
-        """Flush mid-simulation, batch on vs off: the memos must not
-        leak pre-flush residency into post-flush replay."""
+        """Flush mid-simulation, fast-forward on vs off: the memos must
+        not leak pre-flush residency into post-flush runs."""
 
         def drive(nobatch):
             if nobatch:
@@ -272,7 +156,6 @@ class TestFastForwardInvalidation:
         config, traces = _mix(transactions=4)
         engine = SimulationEngine(config, traces, SCHEDULERS["base"])
         assert not engine._ff_enabled
-        assert engine._batch is None
         engine.run("tpcc")
         assert engine.ff_runs == 0
 
@@ -281,7 +164,6 @@ class TestFastForwardInvalidation:
         config, traces = _mix(transactions=4)
         engine = SimulationEngine(config, traces, SCHEDULERS["base"])
         assert not engine._ff_enabled
-        assert engine._batch is None
         engine.run("tpcc")
         assert engine.ff_runs == 0
 
@@ -419,22 +301,3 @@ class TestVersionCounter:
         assert cache.occupancy == 0
         assert cache.version >= version
 
-
-class TestRegistry:
-    def test_lru_capacity(self):
-        registry = batch.ReplayRegistry(capacity=1)
-        for key in ("a", "b"):
-            assert registry.mode_for((key,)) == ("off", None)
-            assert registry.mode_for((key,))[0] == "record"
-            registry.store((key,), [])
-        # "a" was evicted by "b"; seeing it again re-records.
-        assert registry.mode_for(("a",))[0] == "record"
-        assert registry.mode_for(("b",))[0] == "replay"
-
-    def test_clear_resets_counters(self):
-        registry = batch.ReplayRegistry()
-        registry.mode_for(("k",))
-        registry.store(("k",), [])
-        registry.clear()
-        assert registry.recordings == 0
-        assert registry.mode_for(("k",)) == ("off", None)

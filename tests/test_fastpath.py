@@ -372,20 +372,19 @@ class TestPerfBench:
 class TestPerfHistoryGate:
     """The ``perf --history`` ledger archives clean runs only.
 
-    Regression for a bug where a report that failed ``--min-speedup``
-    (or carried ``parity: False``) was appended anyway, poisoning
+    Regression for a bug where a report that failed a gate (or
+    carried ``parity: False``) was appended anyway, poisoning
     over-time comparisons with numbers a gate had already rejected.
     """
 
     @staticmethod
-    def _fake_report(parity=True, batch_speedup=2.0):
+    def _fake_report(parity=True):
         return {
             "workload": "tpcc", "scale": "tiny", "cores": 2,
             "events": 1000, "repeats": 1,
             "fast": {"wall_s": 0.1, "events_per_s": 10_000},
             "reference": {"wall_s": 0.2, "events_per_s": 5_000},
             "speedup": 2.0, "parity": parity,
-            "batch_speedup": batch_speedup,
             "schedulers_wall_s": {"base": 0.05, "strex": 0.05},
         }
 
@@ -402,8 +401,7 @@ class TestPerfHistoryGate:
 
     def test_clean_report_is_appended(self, monkeypatch, tmp_path):
         text, code, history = self._run(
-            monkeypatch, tmp_path, self._fake_report(),
-            extra=["--min-speedup", "1.0"])
+            monkeypatch, tmp_path, self._fake_report())
         assert code == 0
         assert f"appended to {history}" in text
         import json as json_mod
@@ -412,12 +410,21 @@ class TestPerfHistoryGate:
         assert len(lines) == 1
         assert json_mod.loads(lines[0])["parity"] is True
 
-    def test_failed_speedup_gate_is_not_appended(self, monkeypatch,
-                                                 tmp_path):
+    def test_failed_check_gate_is_not_appended(self, monkeypatch,
+                                               tmp_path):
+        import json as json_mod
+
+        # A prior report twice as fast: the fresh one is a 50% events/s
+        # drop, far past the default 15% --check budget.
+        prior = self._fake_report()
+        prior["fast"] = {"wall_s": 0.05, "events_per_s": 20_000}
+        prior_path = tmp_path / "prior.json"
+        prior_path.write_text(json_mod.dumps(prior))
         text, code, history = self._run(
             monkeypatch, tmp_path, self._fake_report(),
-            extra=["--min-speedup", "99.0"])
+            extra=["--check", str(prior_path)])
         assert code == 1
+        assert "kernel slowdown exceeds budget" in text
         assert "not appending" in text
         assert not history.exists()
 

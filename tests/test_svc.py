@@ -35,7 +35,6 @@ import pytest
 
 import repro.exp.runner as runner_mod
 from repro.__main__ import main
-from repro.sim import batch
 from repro.exp import (
     Manifest,
     ResultCache,
@@ -74,13 +73,7 @@ def tiny_spec(**overrides) -> RunSpec:
 
 
 def small_grid():
-    """Four tiny cells: base and strex at one and two cores.
-
-    The base cells are batch-record/replay eligible, the strex cells
-    are not — so a ``--repeat 3`` job replays exactly the base cells
-    and the per-worker replay assertions can be derived from the
-    affinity routing.
-    """
+    """Four tiny cells: base and strex at one and two cores."""
     return [tiny_spec(scheduler=scheduler, cores=cores)
             for scheduler in ("base", "strex") for cores in (1, 2)]
 
@@ -211,10 +204,6 @@ class TestClientOffline:
         with pytest.raises(ValueError, match="no cells"):
             submit_job(tmp_path / "svc", [])
 
-    def test_bad_repeat_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="repeat"):
-            submit_job(tmp_path / "svc", [tiny_spec()], repeat=0)
-
     def test_invalid_cell_is_rejected_at_submit_time(self, tmp_path):
         bad = tiny_spec(scheduler="strex", team_size=0)
         with pytest.raises(ValueError, match="is invalid"):
@@ -297,31 +286,20 @@ def _sigkill_first_execution(marker_path):
 class TestServiceDifferential:
     def test_served_grid_is_byte_identical_to_a_solo_run(
             self, tmp_path):
-        """The core contract end to end: a repeat-primed served job
-        executes every cell, replays batches on the base cells, leaves
-        the cache byte-identical to a solo Runner's, and a warm
-        resubmission is 100% cache hits settled without a worker."""
+        """The core contract end to end: a served job executes every
+        cell, leaves the cache byte-identical to a solo Runner's, and a
+        warm resubmission is 100% cache hits settled without a
+        worker."""
         specs = small_grid()
         served_root = tmp_path / "served"
-        # The workers fork from this process, so any batch-registry
-        # sightings accumulated here (by earlier tests or a solo run)
-        # would skew their replay counts — not their bytes.  Start
-        # them cold and run the solo reference *after* the service.
-        batch.reset_registry()
         with service(served_root, workers=2) as (root, _process):
-            job_id = submit_job(root, specs, repeat=3)
+            job_id = submit_job(root, specs)
             record = wait_job(root, job_id, timeout=300.0)
             assert record["state"] == "done"
             assert record["done"] == len(specs)
             assert record["executed"] == len(specs)
             assert record["cache_hits"] == 0
-            # repeat=3 walks each base cell through sight → record →
-            # replay; strex cells are batch-ineligible by design.
-            base_cells = sum(1 for s in specs if s.scheduler == "base")
-            assert record["batch_replays"] == base_cells
-            assert record["warm_hits"] == base_cells
-            assert record["warm_rate"] == pytest.approx(
-                base_cells / len(specs))
+            assert record["warm_hits"] == 0
 
             warm_id = submit_job(root, specs)
             warm = wait_job(root, warm_id, timeout=60.0)
@@ -333,23 +311,9 @@ class TestServiceDifferential:
             assert all(cell["worker"] is None
                        for cell in warm["cells"].values())
 
-            # Affinity pins each base cell's replays to its worker.
-            # Heartbeats are periodic, so give the counters one beat
-            # to land before asserting on them.
-            replay_workers = {route(s, 2) for s in specs
-                              if s.scheduler == "base"}
-            deadline = time.monotonic() + 5.0
-            while True:
-                status = service_status(root)
-                if all(status["workers"][i]["batch_replays"] >= 1
-                       for i in replay_workers) \
-                        or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
+            status = service_status(root)
             assert status["supervisor"]["alive"] is True
             assert status["jobs"]["done"] == 2
-            for index in replay_workers:
-                assert status["workers"][index]["batch_replays"] >= 1
 
         # Drained: the supervisor exited 0 and published its state.
         assert read_state(root)["state"] == "stopped"
@@ -436,8 +400,8 @@ class TestServiceCrashPaths:
         cell_id = f"{job_id}.0000"
         record.update(state="running", cells={cell_id: {
             "key": spec_key(spec), "worker": 0, "status": "pending",
-            "hit": False, "warm": False, "batch_replays": 0,
-            "wall_s": 0.0, "attempts": 1, "error": None,
+            "hit": False, "wall_s": 0.0,
+            "attempts": 1, "error": None,
         }})
         from repro.svc.queue import _atomic_write_json
         _atomic_write_json(root / "jobs" / f"{job_id}.json", record)
@@ -446,8 +410,8 @@ class TestServiceCrashPaths:
         _atomic_write_json(
             stranded / f"p5-{0:020d}-{cell_id}.json",
             {"cell": cell_id, "job": job_id, "key": spec_key(spec),
-             "spec": spec.to_dict(), "repeat": 1, "force": False,
-             "attempts": 1, "priority": 5, "enqueued_s": 0.0})
+             "spec": spec.to_dict(), "attempts": 1, "priority": 5,
+             "enqueued_s": 0.0})
 
         with service(cache_dir, workers=1):
             done = wait_job(root, job_id, timeout=120.0)
