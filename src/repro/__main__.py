@@ -804,7 +804,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
                         default="tpcc")
     parser.add_argument("--transactions", type=int, default=40)
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timed repeats per path (min is kept)")
+                        help="timed repeats per path and per "
+                             "scheduler (min is kept)")
     parser.add_argument("--cores", type=int, default=None,
                         help="override the scale's default core count")
     parser.add_argument("--seed", type=int, default=1013)
@@ -836,8 +837,9 @@ def build_perf_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
                              "(fast-forward runs taken, memo hit "
-                             "rate, event/instruction totals) in the "
-                             "report as 'kernel_counters'")
+                             "rate, event/instruction totals, kernel "
+                             "calls) in the report as "
+                             "'kernel_counters'")
     return parser
 
 

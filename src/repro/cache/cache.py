@@ -26,7 +26,7 @@ produce bit-identical simulations.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.config import CacheConfig
 from repro.cache.replacement import ReplacementPolicy, make_policy
@@ -160,6 +160,11 @@ class Cache:
     def contains(self, block: int) -> bool:
         """True if ``block`` is resident.  Does not touch stats or LRU."""
         return block in self._where
+
+    def count_resident(self, blocks: Iterable[int]) -> int:
+        """How many of ``blocks`` are resident (duplicates count each
+        time).  Does not touch stats or LRU."""
+        return sum(map(self._where.__contains__, blocks))
 
     def tag_of(self, block: int) -> Optional[int]:
         """Metadata tag of a resident block, or None if absent."""
@@ -354,6 +359,9 @@ class ReferenceCache(Cache):
 
     def contains(self, block: int) -> bool:
         return block in self._lookup[self.set_index(block)]
+
+    def count_resident(self, blocks: Iterable[int]) -> int:
+        return sum(map(self.contains, blocks))
 
     def tag_of(self, block: int) -> Optional[int]:
         set_index = self.set_index(block)

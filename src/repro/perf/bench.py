@@ -6,7 +6,8 @@ the same process*.  Both paths are warmed first (trace memos, allocator
 state), then timed over interleaved repeats with the minimum wall time
 kept -- the most reproducible statistic on a shared machine.  Before
 any timing is trusted, the two paths' full :class:`RunResult` dicts are
-compared; a mismatch raises rather than recording a meaningless number.
+compared for every timed scheduler; a mismatch raises rather than
+recording a meaningless number.
 
 Three series are timed: ``fast`` (the cold kernel: specialized loops
 with hit-run fast-forwarding), ``fast_nobatch`` (``REPRO_SIM_NOBATCH=1``:
@@ -74,14 +75,15 @@ def run_bench(
     The headline number is ``speedup``: fast-path events/second over
     reference events/second for the ``base`` scheduler, which exercises
     the tightest loop.  Parity between the paths is asserted before
-    timing.
+    timing, for ``base`` and every scheduler in ``schedulers``; each
+    ``schedulers_wall_s`` entry is the minimum over ``repeats``.
 
     With ``trace_counters`` the report additionally embeds
     ``kernel_counters``: the engine's own attribution for one fast run
     -- fast-forward runs taken, memo hit rate, event/instruction
-    totals -- so a regression report arrives with its own diagnosis
-    (did ff stop taking runs?).  The extra run happens after all
-    timing.
+    totals, kernel calls -- so a regression report arrives with its
+    own diagnosis (did ff stop taking runs?).  The extra run happens
+    after all timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -91,6 +93,7 @@ def run_bench(
             f"unknown workload {workload!r}; "
             f"choose from {sorted(WORKLOADS)}")
     schedulers = tuple(schedulers)
+    repeats = max(1, repeats)
     for name in schedulers:
         if name not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {name!r}")
@@ -106,29 +109,35 @@ def run_bench(
         cores=config.num_cores)
     try:
         with bench_span:
-            # Warm both paths and check parity while doing so.
+            # Warm both paths and check parity, on every scheduler
+            # whose number the report carries, while doing so.
+            mismatched = []
             with obs.span("perf.warmup"):
                 _set_nobatch(False)
-                _set_reference(False)
-                fast_result = simulate(
-                    config, traces, "base", workload)
-                _set_reference(True)
-                ref_result = simulate(
-                    config, traces, "base", workload)
-            parity = fast_result.to_dict() == ref_result.to_dict()
+                for name in dict.fromkeys(("base",) + schedulers):
+                    _set_reference(False)
+                    fast_result = simulate(
+                        config, traces, name, workload)
+                    _set_reference(True)
+                    ref_result = simulate(
+                        config, traces, name, workload)
+                    if fast_result.to_dict() != ref_result.to_dict():
+                        mismatched.append(name)
+            parity = not mismatched
             if not parity:
                 raise AssertionError(
-                    "fast and reference paths disagree; fix parity "
-                    "before benchmarking (run the tests in "
-                    "tests/test_parity.py)")
+                    f"fast and reference paths disagree on "
+                    f"{', '.join(mismatched)}; fix parity before "
+                    f"benchmarking (run the tests in "
+                    f"tests/test_parity.py)")
             # Timed repeats, interleaved so host drift hits every
             # series alike.  The nobatch series times the same kernel
             # with hit-run fast-forwarding off.
             fast_wall = []
             nobatch_wall = []
             ref_wall = []
-            with obs.span("perf.timed", repeats=max(1, repeats)):
-                for _ in range(max(1, repeats)):
+            with obs.span("perf.timed", repeats=repeats):
+                for _ in range(repeats):
                     _set_reference(False)
                     fast_wall.append(
                         _time_run(config, traces, "base", workload))
@@ -140,12 +149,12 @@ def run_bench(
                     ref_wall.append(
                         _time_run(config, traces, "base", workload))
             _set_reference(False)
-            with obs.span("perf.schedulers"):
-                per_scheduler = {
-                    name: round(
-                        _time_run(config, traces, name, workload), 4)
-                    for name in schedulers
-                }
+            scheduler_wall = {name: [] for name in schedulers}
+            with obs.span("perf.schedulers", repeats=repeats):
+                for _ in range(repeats):
+                    for name in schedulers:
+                        scheduler_wall[name].append(
+                            _time_run(config, traces, name, workload))
             kernel_counters = None
             if trace_counters:
                 kernel_counters = _traced_kernel_counters(
@@ -162,6 +171,8 @@ def run_bench(
     fast_s = min(fast_wall)
     nobatch_s = min(nobatch_wall)
     ref_s = min(ref_wall)
+    per_scheduler = {name: round(min(walls), 4)
+                     for name, walls in scheduler_wall.items()}
     report: Dict[str, object] = {
         "bench": "sim_kernel",
         "scale": scale,
@@ -170,7 +181,7 @@ def run_bench(
         "cores": config.num_cores,
         "seed": seed,
         "events": events,
-        "repeats": max(1, repeats),
+        "repeats": repeats,
         "parity": parity,
         "fast": {
             "wall_s": round(fast_s, 4),
@@ -218,6 +229,7 @@ def _traced_kernel_counters(config, traces, workload: str
         "ff_memo_hit_rate": (
             round(ff_memo_hits / ff_runs, 4) if ff_runs else 0.0
         ),
+        "kernel_calls": int(counters.get("kernel_calls", 0)),
     }
 
 

@@ -235,9 +235,7 @@ class SliccScheduler(Scheduler):
         for candidate in range(len(l1is)):
             if candidate == core:
                 continue
-            contains = l1is[candidate].contains
-            score = sum(1 for block in probe if contains(block))
-            score /= len(probe)
+            score = l1is[candidate].count_resident(probe) / len(probe)
             if score > best_score:
                 best_score = score
                 best_core = candidate

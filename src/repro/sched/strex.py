@@ -121,24 +121,17 @@ class StrexScheduler(Scheduler):
             state.phase = (state.phase + 1) % self.phase_modulo
             state.lead_should_increment = False
 
+        # Forward-progress floor (Section 4.4.2): the kernel absorbs
+        # early divergence evictions until the thread has replayed one
+        # phase segment's worth of block visits in this slice.
         engine.switch_requested = False
-        executed_events = 0
-        while True:
-            executed_events += engine.run_events(
-                core,
-                thread,
-                self.slice_events,
-                tag=state.phase,
-                stop_on_switch=True,
-            )
-            if thread.finished or not engine.switch_requested:
-                break
-            # Forward-progress floor (Section 4.4.2): early divergence
-            # evictions are absorbed until the thread has replayed one
-            # phase segment's worth of block visits.
-            if executed_events >= self.min_progress:
-                break
-            engine.switch_requested = False
+        engine.run_events(
+            core,
+            thread,
+            self.slice_events,
+            tag=state.phase,
+            switch_floor=self.min_progress,
+        )
 
         if thread.finished:
             engine.mark_finished(core, thread)

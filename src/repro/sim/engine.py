@@ -70,9 +70,11 @@ class SimulationEngine:
         self.hier = MemoryHierarchy(config, prefetcher)
         # The deepest specialization additionally requires always-MRU
         # age policies (LRU/FIFO) on the L1-I and L2 so fills can be
-        # inlined as plain array stores.
+        # inlined as plain array stores, and no prefetcher (an active
+        # one routes every slice to the general loop).
         self._age_kernel = (
             self._fast_kernel
+            and not self.prefetcher_active
             and self.hier.l1i[0].policy.insert_mode == "age_mru"
             and self.hier.l2[0].policy.insert_mode == "age_mru"
         )
@@ -117,6 +119,30 @@ class SimulationEngine:
         ]
         self.ff_runs = 0
         self.ff_memo_hits = 0
+        # One add per run_events call (the slice-boundary count).
+        self.kernel_calls = 0
+        if self._age_kernel:
+            self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Bind each thread's age-loop kernel view once.
+
+        ``(packed_events, instruction_prefix, run_tables)`` -- the
+        tables only when fast-forwarding is on -- so a slice pays one
+        slot read instead of three memo-method calls.  Prefetcher
+        engines bind nothing: the general loop they run never reads
+        packed events, and building them would only cost memory.
+        """
+        cpi = self._base_cpi
+        num_sets = self._l1i_sets
+        ff = self._ff_enabled
+        for thread in self.threads:
+            trace = thread.trace
+            thread.view = (
+                trace.packed_events(cpi, num_sets),
+                trace.instruction_prefix(),
+                trace.run_tables(cpi, num_sets) if ff else None,
+            )
 
     # ------------------------------------------------------------------
     # Event replay
@@ -127,37 +153,49 @@ class SimulationEngine:
         thread: TxnThread,
         max_events: int,
         tag: int = 0,
-        stop_on_switch: bool = False,
+        switch_floor: Optional[int] = None,
         miss_log: Optional[list] = None,
         stop_after_misses: int = 0,
     ) -> int:
         """Replay up to ``max_events`` of ``thread`` on ``core``.
 
-        Advances ``core_time[core]``; stops early if the thread finishes
-        or (with ``stop_on_switch``) when :attr:`switch_requested` is set
-        by the L1-I victim callback.  Missed instruction blocks are
-        appended to ``miss_log`` when provided (SLICC's missed-tag
-        queue); with ``stop_after_misses`` > 0 the slice also ends once
-        that many misses accumulate in ``miss_log`` -- SLICC's burst
-        detector must fire at the *start* of a cold segment, not after a
-        whole slice has been fetched into the wrong core.
+        Advances ``core_time[core]``; stops early if the thread
+        finishes.  With ``switch_floor`` set, the call also monitors
+        :attr:`switch_requested` (set by the L1-I victim callback) and
+        enforces STREX's forward-progress floor (DESIGN decision 8): it
+        stops at the first request once at least ``switch_floor``
+        events have run in this call.  An earlier request is absorbed:
+        the flag is cleared, the cycles so far are truncated into
+        ``core_time`` exactly as a call ending there would, and a fresh
+        ``max_events`` quantum starts.  A request on the trace's last
+        event is not absorbed; the flag stays set.  Missed instruction
+        blocks are appended to ``miss_log`` when provided (SLICC's
+        missed-tag queue); with ``stop_after_misses`` > 0 the slice
+        also ends once that many misses accumulate in ``miss_log`` --
+        SLICC's burst detector must fire at the *start* of a cold
+        segment, not after a whole slice has been fetched into the
+        wrong core.
 
         Returns:
             The number of events executed.
         """
-        if self._fast_kernel and not self.prefetcher_active:
-            if self._age_kernel:
-                if miss_log is None and not stop_on_switch:
-                    return self._run_events_tight_age(
+        self.kernel_calls += 1
+        if self._age_kernel:
+            if miss_log is None and switch_floor is None:
+                if thread.view[2] is not None:
+                    return self._run_events_tight_age_ff(
                         core, thread, max_events, tag)
-                return self._run_events_fast_age(
-                    core, thread, max_events, tag, stop_on_switch,
-                    miss_log, stop_after_misses)
+                return self._run_events_tight_age(
+                    core, thread, max_events, tag)
+            return self._run_events_fast_age(
+                core, thread, max_events, tag, switch_floor,
+                miss_log, stop_after_misses)
+        if self._fast_kernel and not self.prefetcher_active:
             return self._run_events_fast(core, thread, max_events, tag,
-                                         stop_on_switch, miss_log,
+                                         switch_floor, miss_log,
                                          stop_after_misses)
         return self._run_events_general(core, thread, max_events, tag,
-                                        stop_on_switch, miss_log,
+                                        switch_floor, miss_log,
                                         stop_after_misses)
 
     def _run_events_general(
@@ -166,7 +204,7 @@ class SimulationEngine:
         thread: TxnThread,
         max_events: int,
         tag: int = 0,
-        stop_on_switch: bool = False,
+        switch_floor: Optional[int] = None,
         miss_log: Optional[list] = None,
         stop_after_misses: int = 0,
     ) -> int:
@@ -179,8 +217,9 @@ class SimulationEngine:
         """
         trace = thread.trace
         iblocks, ilens, dblocks, dwrites = trace.event_columns()
+        n_events = len(iblocks)
         pos = thread.pos
-        end = min(len(iblocks), pos + max_events)
+        end = min(n_events, pos + max_events)
         hier = self.hier
         l1i = hier.l1i[core]
         l1i_access = l1i.access
@@ -228,8 +267,14 @@ class SimulationEngine:
                     - l1d_hit_latency
                 )
             pos += 1
-            if stop_on_switch and self.switch_requested:
-                break
+            if switch_floor is not None and self.switch_requested:
+                if pos - start >= switch_floor or pos == n_events:
+                    break
+                # Below the progress floor: absorb the request.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n_events, pos + max_events)
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -246,7 +291,7 @@ class SimulationEngine:
         thread: TxnThread,
         max_events: int,
         tag: int,
-        stop_on_switch: bool,
+        switch_floor: Optional[int],
         miss_log: Optional[list],
         stop_after_misses: int,
     ) -> int:
@@ -262,8 +307,9 @@ class SimulationEngine:
         """
         trace = thread.trace
         events = trace.packed_events(self._base_cpi, self._l1i_sets)
+        n_events = len(events)
         pos = thread.pos
-        end = min(len(events), pos + max_events)
+        end = min(n_events, pos + max_events)
         start = pos
         hier = self.hier
         l1i = hier.l1i[core]
@@ -346,8 +392,14 @@ class SimulationEngine:
                         - l1d_hit_latency
                     )
             pos += 1
-            if stop_on_switch and self.switch_requested:
-                break
+            if switch_floor is not None and self.switch_requested:
+                if pos - start >= switch_floor or pos == n_events:
+                    break
+                # Below the progress floor: absorb the request.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n_events, pos + max_events)
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -436,18 +488,12 @@ class SimulationEngine:
         early-exit conditions the event walk is a ``for`` over a list
         slice -- no per-event index arithmetic at all.
 
-        When the trace has precomputed hit runs and fast-forwarding is
-        enabled, the slice is delegated to
-        :meth:`_run_events_tight_age_ff`, which retires whole
+        When the thread's view carries hit-run tables (fast-forwarding
+        on), :meth:`run_events` dispatches to
+        :meth:`_run_events_tight_age_ff` instead, which retires whole
         instruction-only runs in bulk and falls back to this scalar
         walk chunk by chunk.
         """
-        if self._ff_enabled:
-            tables = thread.trace.run_tables(
-                self._base_cpi, self._l1i_sets)
-            if tables is not None:
-                return self._run_events_tight_age_ff(
-                    core, thread, max_events, tag, tables)
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
          i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
          d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
@@ -456,8 +502,7 @@ class SimulationEngine:
          l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
-        trace = thread.trace
-        events = trace.packed_events(self._base_cpi, self._l1i_sets)
+        events, prefix, _ = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
@@ -466,7 +511,6 @@ class SimulationEngine:
         end = min(len(events), pos + max_events)
         # The loop cannot exit early, so the slice's instruction count
         # comes from the prefix sums rather than a per-event add.
-        prefix = trace.instruction_prefix()
         instructions = prefix[end] - prefix[pos]
         cycles = 0.0
         i_hits = 0
@@ -608,11 +652,10 @@ class SimulationEngine:
         thread: TxnThread,
         max_events: int,
         tag: int,
-        run_tables: tuple,
     ) -> int:
         """:meth:`_run_events_tight_age` with hit-run fast-forwarding.
 
-        ``run_tables`` is the trace's precomputed
+        The thread view's run tables are the trace's precomputed
         :meth:`~repro.trace.trace.TransactionTrace.run_tables` pair:
         ``next_ff`` gives the next fast-forward candidate at or after
         any position, so events outside runs replay on the verbatim
@@ -647,15 +690,12 @@ class SimulationEngine:
          l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
-        trace = thread.trace
-        events = trace.packed_events(self._base_cpi, self._l1i_sets)
-        next_ff, runs = run_tables
+        events, prefix, (next_ff, runs) = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
         pos = thread.pos
         end = min(len(events), pos + max_events)
-        prefix = trace.instruction_prefix()
         instructions = prefix[end] - prefix[pos]
         ff_memo = self._ff_memos[core]
         ff_memo_get = ff_memo.get
@@ -961,23 +1001,24 @@ class SimulationEngine:
         thread: TxnThread,
         max_events: int,
         tag: int,
-        stop_on_switch: bool,
+        switch_floor: Optional[int],
         miss_log: Optional[list],
         stop_after_misses: int,
     ) -> int:
         """:meth:`_run_events_tight_age` plus the monitored features.
 
-        Handles STREX switch monitoring and SLICC miss logging/bounding
-        with the same fully inlined cache machinery; only the per-event
-        epilogue differs from the tight loop.
+        Handles STREX switch monitoring (with its progress floor) and
+        SLICC miss logging/bounding with the same fully inlined cache
+        machinery; only the per-event epilogue differs from the tight
+        loop.
 
         Hit-run fast-forwarding applies here too, with extra guards: a
         fully resident run is all L1-I hits with no data-side events,
         so it can neither append to ``miss_log`` nor fire the victim
         callback that sets ``switch_requested`` -- monitoring state
         cannot change *during* the run.  It may already be armed at the
-        run's start, though (the scalar loop would break after one more
-        event), so a run is only retired in bulk when neither break
+        run's start, though (the scalar loop would act on it after one
+        more event), so a run is only retired in bulk when neither
         condition currently holds.
         """
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
@@ -988,24 +1029,21 @@ class SimulationEngine:
          l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
-        trace = thread.trace
-        events = trace.packed_events(self._base_cpi, self._l1i_sets)
+        events, prefix, tables = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
+        n_events = len(events)
         pos = thread.pos
-        end = min(len(events), pos + max_events)
+        end = min(n_events, pos + max_events)
         start = pos
         set_fills = self._ff_set_fills[core]
         next_ff = None
-        if self._ff_enabled:
-            tables = trace.run_tables(self._base_cpi, self._l1i_sets)
-            if tables is not None:
-                next_ff, runs = tables
-                prefix = trace.instruction_prefix()
-                ff_memo = self._ff_memos[core]
-                ff_memo_get = ff_memo.get
-                shock = l1i.version - self._ff_fill_base[core]
+        if tables is not None:
+            next_ff, runs = tables
+            ff_memo = self._ff_memos[core]
+            ff_memo_get = ff_memo.get
+            shock = l1i.version - self._ff_fill_base[core]
         cycles = 0.0
         instructions = 0
         i_hits = 0
@@ -1021,7 +1059,7 @@ class SimulationEngine:
                 (rend, run_cycles, distinct, last_offs, n_run,
                  run_sets) = runs[pos]
                 if rend <= end \
-                        and not (stop_on_switch
+                        and not (switch_floor is not None
                                  and self.switch_requested) \
                         and not (stop_after_misses
                                  and miss_log is not None
@@ -1167,8 +1205,14 @@ class SimulationEngine:
                         - l1d_hit_latency
                     )
             pos += 1
-            if stop_on_switch and self.switch_requested:
-                break
+            if switch_floor is not None and self.switch_requested:
+                if pos - start >= switch_floor or pos == n_events:
+                    break
+                # Below the progress floor: absorb the request.
+                self.switch_requested = False
+                self.core_time[core] += int(cycles)
+                cycles = 0.0
+                end = min(n_events, pos + max_events)
             if stop_after_misses and miss_log is not None \
                     and len(miss_log) >= stop_after_misses:
                 break
@@ -1250,6 +1294,7 @@ class SimulationEngine:
                 sp.add("instructions", self.total_instructions)
                 sp.add("ff_runs", self.ff_runs)
                 sp.add("ff_memo_hits", self.ff_memo_hits)
+                sp.add("kernel_calls", self.kernel_calls)
                 tracer = obs.tracer()
                 if tracer is not None:
                     metrics = tracer.metrics
@@ -1258,44 +1303,50 @@ class SimulationEngine:
                     metrics.inc(
                         "sim.instructions", self.total_instructions
                     )
+                    metrics.inc("sim.kernel_calls", self.kernel_calls)
             return result
 
     def _run(self, workload_name: str) -> RunResult:
         scheduler = self.scheduler
         scheduler.start()
+        has_work = scheduler.has_work
+        run_slice = scheduler.run_slice
+        drain_wakeups = scheduler.drain_wakeups
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        core_time = self.core_time
         heap = [
-            (self.core_time[core], core)
+            (core_time[core], core)
             for core in range(self.config.num_cores)
-            if scheduler.has_work(core)
+            if has_work(core)
         ]
         heapq.heapify(heap)
-        self._in_heap = {core for _, core in heap}
+        in_heap = {core for _, core in heap}
         checker = self.checker
-        while self.finished_threads < len(self.threads):
+        num_threads = len(self.threads)
+        while self.finished_threads < num_threads:
             if not heap:
                 raise RuntimeError(
                     "deadlock: unfinished threads but no runnable core"
                 )
-            _, core = heapq.heappop(heap)
-            self._in_heap.discard(core)
-            if not scheduler.has_work(core):
+            _, core = heappop(heap)
+            in_heap.discard(core)
+            if not has_work(core):
                 continue
-            scheduler.run_slice(core)
+            run_slice(core)
             if checker is not None:
                 checker.after_slice(core)
-            if scheduler.has_work(core):
-                self._activate(heap, core)
+            if has_work(core):
+                # Just popped, so never already queued.
+                heappush(heap, (core_time[core], core))
+                in_heap.add(core)
             # Schedulers may have handed work to other (parked) cores.
-            for other in scheduler.drain_wakeups():
-                if scheduler.has_work(other):
-                    self._activate(heap, other)
+            for other in drain_wakeups():
+                if has_work(other) and other not in in_heap:
+                    heappush(heap, (core_time[other], other))
+                    in_heap.add(other)
 
         return self._collect(workload_name)
-
-    def _activate(self, heap: list, core: int) -> None:
-        if core not in self._in_heap:
-            heapq.heappush(heap, (self.core_time[core], core))
-            self._in_heap.add(core)
 
     def _collect(self, workload_name: str) -> RunResult:
         latencies = [

@@ -19,6 +19,8 @@ class TxnThread:
     __slots__ = (
         "thread_id",
         "trace",
+        "n_events",
+        "view",
         "pos",
         "arrival",
         "start_time",
@@ -33,6 +35,11 @@ class TxnThread:
                  arrival: int = 0):
         self.thread_id = thread_id
         self.trace = trace
+        self.n_events = len(trace)
+        # The age loops' per-thread kernel view, ``(packed_events,
+        # instruction_prefix, run_tables)``; bound by the engine at
+        # construction when it runs those loops, else None.
+        self.view: Optional[tuple] = None
         self.pos = 0
         self.arrival = arrival
         self.start_time: Optional[int] = None
@@ -51,7 +58,7 @@ class TxnThread:
     @property
     def finished(self) -> bool:
         """True once the cursor has consumed the whole trace."""
-        return self.pos >= len(self.trace)
+        return self.pos >= self.n_events
 
     @property
     def latency(self) -> Optional[int]:

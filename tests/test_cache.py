@@ -2,10 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, ReferenceCache
 from repro.config import CacheConfig
 
 
@@ -161,6 +162,35 @@ class TestFillAndProbe:
         cache.access(3)
         assert cache.probe(3) is True
         assert cache.stats.hits == 1
+
+
+class TestCountResident:
+    """SLICC's signature probe counts residents on either layout."""
+
+    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
+    def test_counts_residents_and_duplicates(self, cls):
+        cache = cls(CacheConfig(1024, assoc=4), rng=random.Random(7))
+        for block in (3, 5, 8):
+            cache.access(block)
+        version = cache.version
+        hits = cache.stats.hits
+        assert cache.count_resident([]) == 0
+        assert cache.count_resident([3, 4, 5]) == 2
+        # A duplicate in the probe counts each time it appears.
+        assert cache.count_resident([3, 3, 9, 8, 3]) == 4
+        assert cache.count_resident(iter((5, 6))) == 1
+        # A presence query: no stats, recency or version side effects.
+        assert cache.version == version
+        assert cache.stats.hits == hits
+
+    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
+    def test_matches_contains_after_evictions(self, cls):
+        cache = cls(CacheConfig(256, assoc=2), rng=random.Random(7))
+        for block in range(0, 64, 3):
+            cache.access(block)
+        probe = list(range(64)) + [0, 63, 63]
+        assert cache.count_resident(probe) == sum(
+            1 for block in probe if cache.contains(block))
 
 
 class TestInvalidateAndFlush:

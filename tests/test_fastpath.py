@@ -358,6 +358,47 @@ class TestPerfBench:
         import json as json_mod
         assert json_mod.loads(out.read_text())["bench"] == "sim_kernel"
 
+    def test_parity_is_checked_for_every_timed_scheduler(
+            self, monkeypatch):
+        from repro.fastpath import reference_mode
+        from repro.perf import bench
+
+        real = bench.simulate
+
+        def skewed(config, traces, scheduler, workload):
+            result = real(config, traces, scheduler, workload)
+            if scheduler == "smt" and reference_mode():
+                result.cycles += 1
+            return result
+
+        monkeypatch.setattr(bench, "simulate", skewed)
+        with pytest.raises(AssertionError, match="disagree on smt"):
+            bench.run_bench(scale="tiny", transactions=2, repeats=1,
+                            schedulers=("strex", "smt"))
+
+    def test_scheduler_walls_are_min_over_repeats(self, monkeypatch):
+        import itertools
+
+        from repro.perf import bench
+
+        # Every timed run is faster than the one before it, so each
+        # scheduler's minimum is its last repeat.
+        clock = itertools.count(100, -1)
+        last = {}
+
+        def fake_time(config, traces, scheduler, workload):
+            last[scheduler] = float(next(clock))
+            return last[scheduler]
+
+        monkeypatch.setattr(bench, "_time_run", fake_time)
+        report = bench.run_bench(scale="tiny", transactions=2, repeats=3,
+                                 schedulers=("strex", "smt"),
+                                 trace_counters=True)
+        assert report["schedulers_wall_s"] == {
+            "strex": last["strex"], "smt": last["smt"]}
+        counters = report["kernel_counters"]
+        assert 0 < counters["kernel_calls"] <= counters["events"]
+
     def test_run_bench_rejects_unknown_names(self):
         from repro.perf import run_bench
 

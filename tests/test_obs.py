@@ -39,6 +39,7 @@ from repro.obs import (
     bucket_index,
 )
 from repro.obs.report import format_tree, load_trace, summarize
+from repro.sched.strex import StrexScheduler
 from repro.sim.api import simulate
 from repro.workloads import WORKLOADS
 
@@ -385,6 +386,33 @@ class TestDisarmed:
             obs.TRACE_ENV, str(tmp_path / "armed.jsonl"))
         armed = simulate(config, traces, "strex", "tpcc")
         assert plain.to_dict() == armed.to_dict()
+
+
+# ---------------------------------------------------------------------
+# Kernel-call counter
+# ---------------------------------------------------------------------
+
+class TestKernelCalls:
+    def test_strex_makes_one_kernel_call_per_slice(self, monkeypatch):
+        """The progress floor lives in the kernel: every STREX slice
+        is exactly one ``run_events`` call, however many early switch
+        requests it absorbs."""
+        slices = []
+        original = StrexScheduler.run_slice
+
+        def counted(self, core):
+            slices.append(core)
+            original(self, core)
+
+        monkeypatch.setattr(StrexScheduler, "run_slice", counted)
+        config = tiny_scale(num_cores=2)
+        suite = WORKLOADS["tpcc"](config.l1i_blocks, 7)
+        traces = suite.generate_mix(6, seed=7)
+        with obs.use(Tracer()) as tracer:
+            simulate(config, traces, "strex", "tpcc")
+        (run,) = [s for s in tracer.ring if s.name == "sim.run"]
+        assert run.counters["kernel_calls"] == len(slices) > 0
+        assert tracer.metrics.counters["sim.kernel_calls"] == len(slices)
 
 
 # ---------------------------------------------------------------------

@@ -14,13 +14,19 @@ objects rather than regenerating per path.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.config import tiny_scale
 from repro.fastpath import ENV_VAR, reference_mode
 from repro.obs import TRACE_ENV
+from repro.prefetch.nextline import NextLinePrefetcher
+from repro.sched.base import BaselineScheduler
+from repro.sched.strex import StrexScheduler
 from repro.sim.api import SCHEDULERS, simulate
+from repro.sim.engine import SimulationEngine
+from repro.trace.trace import TraceBuilder
 from repro.workloads import WORKLOADS
 
 POLICIES = ("lru", "fifo", "random", "lip", "bip", "dip",
@@ -134,3 +140,157 @@ class TestTracedParity:
         assert fast.to_dict() == ref.to_dict()
         # The traced runs really were traced, not silently disarmed.
         assert (tmp_path / "trace.jsonl").exists()
+
+
+class MultiCallStrex(StrexScheduler):
+    """STREX with the progress floor enforced outside the kernel.
+
+    The oracle for the in-kernel floor: the original slice re-entered
+    ``run_events`` after every early victim.  Each call stops at the
+    first switch request (``switch_floor=0``); the scheduler absorbs
+    requests -- one kernel call each -- until the slice has run
+    ``min_progress`` events or the thread finishes.
+    """
+
+    def start(self) -> None:
+        super().start()
+        engine = self.engine
+        kernel = engine.run_events
+
+        def multi_call(core, thread, max_events, tag, switch_floor):
+            executed = 0
+            while True:
+                executed += kernel(core, thread, max_events, tag=tag,
+                                   switch_floor=0)
+                if thread.finished or not engine.switch_requested:
+                    break
+                if executed >= switch_floor:
+                    break
+                engine.switch_requested = False
+            return executed
+
+        engine.run_events = multi_call
+
+
+#: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
+#: takes the age loop, BIP the non-age fast loop, and a prefetcher the
+#: general loop; under ``REPRO_SIM_REFERENCE=1`` all three take the
+#: general loop over the reference caches.
+FLOOR_LOOPS = {
+    "age": (lambda config: config, None),
+    "fast": (lambda config: config.with_l1_replacement("bip"), None),
+    "general": (lambda config: config, NextLinePrefetcher),
+}
+
+
+def _set_kernel(monkeypatch, reference: bool) -> None:
+    if reference:
+        monkeypatch.setenv(ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(ENV_VAR, raising=False)
+
+
+class TestStrexFloorInKernel:
+    """One kernel call per STREX slice changes no simulated number."""
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    @pytest.mark.parametrize("floor", (None, 0, 1, 4, 10_000))
+    def test_matches_multi_call_oracle(self, monkeypatch, floor, loop,
+                                       reference):
+        transform, prefetcher = FLOOR_LOOPS[loop]
+        config = transform(tiny_scale()).with_strex(
+            min_progress_events=floor)
+        traces = _traces("tpcc", config)
+        _set_kernel(monkeypatch, reference)
+        engines = [
+            SimulationEngine(config, traces, scheduler, prefetcher)
+            for scheduler in (StrexScheduler, MultiCallStrex)
+        ]
+        new, old = engines
+        assert new._age_kernel == (loop == "age" and not reference)
+        assert new.prefetcher_active == (loop == "general")
+        results = [
+            json.dumps(engine.run("tpcc").to_dict(), sort_keys=True)
+            for engine in engines
+        ]
+        assert results[0] == results[1]
+        # The oracle pays one call per absorbed request; the in-kernel
+        # floor must really have absorbed some for the check to bite.
+        if floor in (None, 4, 10_000):
+            assert new.kernel_calls < old.kernel_calls
+        else:
+            assert new.kernel_calls == old.kernel_calls
+
+
+class TestSwitchFloorEdges:
+    """Direct ``run_events`` calls on a trace that overflows one set.
+
+    Blocks ``k * num_sets`` all map to set 0, so event ``assoc`` (the
+    first block past the set's ways) evicts, as does every later one;
+    the victim callback raises a switch request on each eviction.
+    """
+
+    def _engine(self, monkeypatch, loop, reference, extra):
+        transform, prefetcher = FLOOR_LOOPS[loop]
+        config = transform(tiny_scale(num_cores=1))
+        assoc = config.l1i.assoc
+        builder = TraceBuilder(0, "S")
+        for k in range(assoc + extra):
+            builder.append(k * config.l1i.num_sets, 10)
+        _set_kernel(monkeypatch, reference)
+        engine = SimulationEngine(config, [builder.build()],
+                                  BaselineScheduler, prefetcher)
+
+        def request(block, tag):
+            engine.switch_requested = True
+
+        engine.hier.set_victim_callback(0, request)
+        return engine, assoc
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    def test_request_on_last_event_is_not_absorbed(
+            self, monkeypatch, loop, reference):
+        engine, assoc = self._engine(monkeypatch, loop, reference, 2)
+        thread = engine.threads[0]
+        executed = engine.run_events(0, thread, 100, switch_floor=10_000)
+        # The request at event ``assoc`` was absorbed; the one on the
+        # trace's last event survives the call.
+        assert executed == thread.n_events == assoc + 2
+        assert thread.finished
+        assert engine.switch_requested
+        assert engine.kernel_calls == 1
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    def test_floor_bounds_the_stop(self, monkeypatch, loop, reference):
+        # Floor 1: stop at the first request.
+        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        executed = engine.run_events(0, engine.threads[0], 100,
+                                     switch_floor=1)
+        assert executed == assoc + 1
+        assert engine.switch_requested
+        # Floor assoc + 2: absorb the first request, stop at the next.
+        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        executed = engine.run_events(0, engine.threads[0], 100,
+                                     switch_floor=assoc + 2)
+        assert executed == assoc + 2
+        assert not engine.threads[0].finished
+        assert engine.switch_requested
+        # No floor: the request is never watched.
+        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        assert engine.run_events(0, engine.threads[0], 100) == assoc + 3
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    def test_absorbed_request_rearms_the_quantum(self, monkeypatch, loop,
+                                                 reference):
+        # A quantum ending right at the first request: absorbing it
+        # starts a fresh quantum, so the call runs on past it.
+        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        executed = engine.run_events(0, engine.threads[0], assoc + 1,
+                                     switch_floor=10_000)
+        assert executed == assoc + 3
+        assert engine.switch_requested
+
