@@ -212,11 +212,12 @@ class Cache:
     def miss_fill(self, block: int, tag: int, set_index: int) -> None:
         """Demand-miss bookkeeping with a precomputed set index.
 
-        The engine's inlined hit path already established the block is
-        absent; this charges the miss and fills, skipping the redundant
-        probe and set-index computation of :meth:`access`.  The body is
-        :meth:`_fill` flattened in (one call per miss instead of four
-        on the LRU default).
+        The inlined L2 access
+        (:meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access_fast`)
+        already established the block is absent; this charges the miss
+        and fills, skipping the redundant probe of :meth:`access`.  The
+        body is :meth:`_fill` flattened in (one call per miss instead
+        of four on the LRU default).
         """
         self.version += 1
         self.stats.misses += 1
@@ -391,12 +392,6 @@ class ReferenceCache(Cache):
         self.policy.on_miss(set_index)
         self._fill(set_index, block, tag)
         return False
-
-    def miss_fill(self, block: int, tag: int, set_index: int) -> None:
-        self.version += 1
-        self.stats.misses += 1
-        self.policy.on_miss(set_index)
-        self._fill(set_index, block, tag)
 
     def probe(self, block: int) -> bool:
         self.version += 1

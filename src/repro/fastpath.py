@@ -34,8 +34,8 @@ ENV_VAR = "REPRO_SIM_REFERENCE"
 CHECK_ENV = "REPRO_SIM_CHECK"
 
 #: Environment variable disabling hit-run fast-forwarding in the age
-#: loops (:meth:`repro.sim.engine.SimulationEngine._run_events_tight_age`).
-#: Any value other than empty/"0" forces the scalar loops; results are
+#: loop (:meth:`repro.sim.engine.SimulationEngine._run_events_age`).
+#: Any value other than empty/"0" forces scalar replay; results are
 #: byte-identical either way -- this is an escape hatch and an A/B
 #: switch for the differential tests, not a semantic knob.
 NOBATCH_ENV = "REPRO_SIM_NOBATCH"

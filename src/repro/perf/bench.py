@@ -9,9 +9,9 @@ any timing is trusted, the two paths' full :class:`RunResult` dicts are
 compared for every timed scheduler; a mismatch raises rather than
 recording a meaningless number.
 
-Three series are timed: ``fast`` (the cold kernel: specialized loops
-with hit-run fast-forwarding), ``fast_nobatch`` (``REPRO_SIM_NOBATCH=1``:
-the same loops with fast-forwarding off, so its own gain stays
+Three series are timed: ``fast`` (the cold kernel: the age loop with
+hit-run fast-forwarding), ``fast_nobatch`` (``REPRO_SIM_NOBATCH=1``:
+the same loop with fast-forwarding off, so its own gain stays
 measured), and ``reference``.
 
 The report is written as JSON (``BENCH_sim.json`` at the repo root by

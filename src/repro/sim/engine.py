@@ -68,10 +68,11 @@ class SimulationEngine:
         # reads the same flag when choosing its cache layout.
         self._fast_kernel = not reference_mode()
         self.hier = MemoryHierarchy(config, prefetcher)
-        # The deepest specialization additionally requires always-MRU
-        # age policies (LRU/FIFO) on the L1-I and L2 so fills can be
-        # inlined as plain array stores, and no prefetcher (an active
-        # one routes every slice to the general loop).
+        # The specialized loop requires always-MRU age policies
+        # (LRU/FIFO) on the L1-I and L2 so fills can be inlined as
+        # plain array stores, and no prefetcher.  Every other engine
+        # (non-age policies, prefetchers, the reference kernel) runs
+        # the general loop.
         self._age_kernel = (
             self._fast_kernel
             and not self.prefetcher_active
@@ -101,7 +102,7 @@ class SimulationEngine:
         # and no NOBATCH override; the per-core memo maps a run's
         # distinct-block tuple -> (residency signature, resident
         # slots).  The signature is out-of-band mutations (l1i.version
-        # minus the fills the age loops accounted into it) plus the
+        # minus the fills the age loop accounted into it) plus the
         # fill counters of the sets the run involves -- all monotonic,
         # so a sum compares equal iff none of them moved.
         self._ff_enabled = (
@@ -111,7 +112,7 @@ class SimulationEngine:
         )
         if self._ff_enabled:
             self._ff_memos = [dict() for _ in range(config.num_cores)]
-        # Maintained by the age loops even when fast-forward is off
+        # Maintained by the age loop even when fast-forward is off
         # (one int add per L1-I miss) so the signatures stay coherent.
         self._ff_fill_base = [0] * config.num_cores
         self._ff_set_fills = [
@@ -129,9 +130,9 @@ class SimulationEngine:
 
         ``(packed_events, instruction_prefix, run_tables)`` -- the
         tables only when fast-forwarding is on -- so a slice pays one
-        slot read instead of three memo-method calls.  Prefetcher
-        engines bind nothing: the general loop they run never reads
-        packed events, and building them would only cost memory.
+        slot read instead of three memo-method calls.  Only age
+        engines bind views: the general loop never reads packed
+        events, and building them would only cost memory.
         """
         cpi = self._base_cpi
         num_sets = self._l1i_sets
@@ -181,19 +182,9 @@ class SimulationEngine:
         """
         self.kernel_calls += 1
         if self._age_kernel:
-            if miss_log is None and switch_floor is None:
-                if thread.view[2] is not None:
-                    return self._run_events_tight_age_ff(
-                        core, thread, max_events, tag)
-                return self._run_events_tight_age(
-                    core, thread, max_events, tag)
-            return self._run_events_fast_age(
-                core, thread, max_events, tag, switch_floor,
-                miss_log, stop_after_misses)
-        if self._fast_kernel and not self.prefetcher_active:
-            return self._run_events_fast(core, thread, max_events, tag,
-                                         switch_floor, miss_log,
-                                         stop_after_misses)
+            return self._run_events_age(core, thread, max_events, tag,
+                                        switch_floor, miss_log,
+                                        stop_after_misses)
         return self._run_events_general(core, thread, max_events, tag,
                                         switch_floor, miss_log,
                                         stop_after_misses)
@@ -213,7 +204,7 @@ class SimulationEngine:
         Handles every feature: prefetchers, STREX switch monitoring,
         SLICC miss logging/bounding.  ``REPRO_SIM_REFERENCE=1`` routes
         all replay through this loop over the reference cache layout;
-        the specialized loops below must match it bit for bit.
+        the age loop below must match it bit for bit.
         """
         trace = thread.trace
         iblocks, ilens, dblocks, dwrites = trace.event_columns()
@@ -285,139 +276,12 @@ class SimulationEngine:
         self.core_time[core] += int(cycles)
         return pos - start
 
-    def _run_events_fast(
-        self,
-        core: int,
-        thread: TxnThread,
-        max_events: int,
-        tag: int,
-        switch_floor: Optional[int],
-        miss_log: Optional[list],
-        stop_after_misses: int,
-    ) -> int:
-        """Specialized loop: inlined L1 probes, no prefetcher.
-
-        Semantically identical to :meth:`_run_events_general` with
-        ``use_prefetcher`` false.  The L1-I hit path is a single dict
-        probe plus a tag store and an in-place recency bump (dispatched
-        on ``policy.hit_mode``); L1-D read hits that cannot change
-        directory state are resolved inline the same way.  Cycle
-        additions happen in the same order with the same operands as
-        the general loop, so the float total is bit-identical.
-        """
-        trace = thread.trace
-        events = trace.packed_events(self._base_cpi, self._l1i_sets)
-        n_events = len(events)
-        pos = thread.pos
-        end = min(n_events, pos + max_events)
-        start = pos
-        hier = self.hier
-        l1i = hier.l1i[core]
-        i_where_get = l1i._where.get
-        i_tags = l1i._slot_tags
-        i_pol = l1i.policy
-        i_mode = i_pol.hit_mode
-        i_ages = i_pol.hit_array
-        i_miss_fill = l1i.miss_fill
-        l1d = hier.l1d[core]
-        d_where_get = l1d._where.get
-        d_tags = l1d._slot_tags
-        d_pol = l1d.policy
-        d_mode = d_pol.hit_mode
-        d_ages = d_pol.hit_array
-        l1d_stats = l1d.stats
-        l1d_hit_latency = l1d.config.hit_latency
-        directory_get = hier._directory.get
-        access_data = hier.access_data
-        l2_access = hier._l2_access
-        cycles = 0.0
-        instructions = 0
-        i_hits = 0
-        d_hits = 0
-
-        while pos < end:
-            iblock, icycles, ilen, dblock, dwrite, iset = events[pos]
-            instructions += ilen
-            cycles += icycles
-            slot = i_where_get(iblock)
-            if slot is not None:
-                i_hits += 1
-                i_tags[slot] = tag
-                if i_mode == "age":
-                    tick = i_pol._tick
-                    i_ages[slot] = tick
-                    i_pol._tick = tick + 1
-                elif i_mode == "zero":
-                    i_ages[slot] = 0
-                elif i_mode == "call":
-                    i_pol.hit_slot(slot)
-            else:
-                i_miss_fill(iblock, tag, iset)
-                cycles += l2_access(core, iblock)
-                if miss_log is not None:
-                    miss_log.append(iblock)
-            if dblock >= 0:
-                # Hits whose directory transition is a no-op -- reads
-                # with no remote owner, writes already held exclusive
-                # -- resolve inline (latency contribution is exactly
-                # zero).  Everything else takes the full coherent path.
-                slot = d_where_get(dblock)
-                entry = directory_get(dblock) \
-                    if slot is not None else None
-                if entry is None:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-                elif (
-                    (entry.owner == core and len(entry.sharers) == 1)
-                    if dwrite else
-                    (core in entry.sharers
-                     and (entry.owner is None
-                          or entry.owner == core))
-                ):
-                    d_hits += 1
-                    d_tags[slot] = 0
-                    if d_mode == "age":
-                        tick = d_pol._tick
-                        d_ages[slot] = tick
-                        d_pol._tick = tick + 1
-                    elif d_mode == "zero":
-                        d_ages[slot] = 0
-                    elif d_mode == "call":
-                        d_pol.hit_slot(slot)
-                else:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-            pos += 1
-            if switch_floor is not None and self.switch_requested:
-                if pos - start >= switch_floor or pos == n_events:
-                    break
-                # Below the progress floor: absorb the request.
-                self.switch_requested = False
-                self.core_time[core] += int(cycles)
-                cycles = 0.0
-                end = min(n_events, pos + max_events)
-            if stop_after_misses and miss_log is not None \
-                    and len(miss_log) >= stop_after_misses:
-                break
-
-        l1i.stats.hits += i_hits
-        l1d_stats.hits += d_hits
-        thread.pos = pos
-        thread.instructions_done += instructions
-        self.total_instructions += instructions
-        self.core_time[core] += int(cycles)
-        return pos - start
-
     def _build_age_statics(self) -> List[tuple]:
-        """Per-core local-variable bundles for the age-specialized loops.
+        """Per-core local-variable bundles for the age loop.
 
         Everything here is structurally constant for the lifetime of the
         engine -- cache storage arrays are mutated in place, never
-        rebound (:meth:`Cache.flush` honours this) -- so the loops pay
+        rebound (:meth:`Cache.flush` honours this) -- so the loop pays
         one tuple unpack per slice instead of dozens of attribute
         chases.  The L1-I victim callback is the one dynamic piece
         (STREX installs and removes it at runtime) and is fetched per
@@ -470,211 +334,61 @@ class SimulationEngine:
             ) + l2_shared)
         return statics
 
-    def _run_events_tight_age(
+    def _run_events_age(
         self,
         core: int,
         thread: TxnThread,
         max_events: int,
         tag: int,
+        switch_floor: Optional[int],
+        miss_log: Optional[list],
+        stop_after_misses: int,
     ) -> int:
-        """Tightest loop: the common configuration on LRU/FIFO caches.
+        """The specialized loop: LRU/FIFO caches, no prefetcher.
 
-        No prefetcher, no miss log, no switch monitoring -- the
-        baseline/SMT schedulers and STREX outside its monitored window.
         The entire L1-I and L2 access/fill machinery is inlined as
         dict/array operations over the flat cache layout; replacement
         is the age-stamp dance directly.  Charges and side effects are
-        ordered exactly as in :meth:`_run_events_general`.  With no
-        early-exit conditions the event walk is a ``for`` over a list
-        slice -- no per-event index arithmetic at all.
+        ordered exactly as in :meth:`_run_events_general`, so every
+        result is bit-identical to it.  The event walk is a ``for``
+        over list-slice chunks -- no per-event index arithmetic.
 
-        When the thread's view carries hit-run tables (fast-forwarding
-        on), :meth:`run_events` dispatches to
-        :meth:`_run_events_tight_age_ff` instead, which retires whole
-        instruction-only runs in bulk and falls back to this scalar
-        walk chunk by chunk.
-        """
-        (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
-         i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
-         d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
-         l1d_hit_latency,
-         l2_wheres, l2_blocks, l2_tagsl, l2_set_len, l2_pols,
-         l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
-         l2_mask, l2_promote, num_cores, dram_access, directory_get,
-         access_data) = self._age_statics[core]
-        events, prefix, _ = thread.view
-        i_victim_cb = l1i.victim_callback
-        i_where_get = i_where.get
-        i_tick = i_pol._tick
-        set_fills = self._ff_set_fills[core]
-        pos = thread.pos
-        end = min(len(events), pos + max_events)
-        # The loop cannot exit early, so the slice's instruction count
-        # comes from the prefix sums rather than a per-event add.
-        instructions = prefix[end] - prefix[pos]
-        cycles = 0.0
-        i_hits = 0
-        i_misses = 0
-        i_evictions = 0
-        d_hits = 0
-        noc_hops = 0
+        **Monitoring.**  STREX's :attr:`switch_requested` is only set
+        by the L1-I victim callback and SLICC's ``miss_log`` only grows
+        on an L1-I miss, so only a miss can change monitoring state.
+        The miss branch raises a local ``flagged`` when it does, and
+        the chunk ends after that event's data side; the outer loop
+        then applies the progress floor (absorb or stop) and the miss
+        bound exactly as a per-event check would.  ``flagged`` is
+        seeded on entry: a request already pending, or a ``miss_log``
+        already at its bound, is acted on after exactly one event.
+        Every event is exactly one L1-I hit or miss, so the position
+        is ``start + i_hits + i_misses``, and the instruction count
+        comes from the prefix sums once, at the end.
 
-        for iblock, icycles, ilen, dblock, dwrite, iset in \
-                events[pos:end]:
-            cycles += icycles
-            slot = i_where_get(iblock)
-            if slot is not None:
-                i_hits += 1
-                i_tags[slot] = tag
-                if i_promote:
-                    i_ages[slot] = i_tick
-                    i_tick += 1
-            else:
-                # L1-I miss: fill (evicting by oldest age) ...
-                i_misses += 1
-                set_fills[iset] += 1
-                base = iset * i_assoc
-                if i_set_len[iset] < i_assoc:
-                    slot = i_slot_blocks.index(None, base,
-                                               base + i_assoc)
-                    i_set_len[iset] += 1
-                else:
-                    segment = i_ages[base:base + i_assoc]
-                    slot = base + segment.index(min(segment))
-                    victim = i_slot_blocks[slot]
-                    if i_victim_cb is not None:
-                        i_victim_cb(victim, i_tags[slot])
-                    i_evictions += 1
-                    del i_where[victim]
-                i_slot_blocks[slot] = iblock
-                i_tags[slot] = tag
-                i_where[iblock] = slot
-                i_ages[slot] = i_tick
-                i_tick += 1
-                # ... then the home L2 slice over the torus.
-                sid = iblock % num_cores
-                noc_hops += hops_row[sid]
-                latency = lat2_row[sid]
-                where2 = l2_wheres[sid]
-                slot2 = where2.get(iblock)
-                if slot2 is not None:
-                    l2_statsl[sid].hits += 1
-                    if l2_promote:
-                        pol2 = l2_pols[sid]
-                        l2_agesl[sid][slot2] = pol2._tick
-                        pol2._tick += 1
-                    l2_tagsl[sid][slot2] = 0
-                else:
-                    stats2 = l2_statsl[sid]
-                    stats2.misses += 1
-                    set2 = (iblock & l2_mask) if l2_pot \
-                        else (iblock % l2_nsets)
-                    base2 = set2 * l2_assoc
-                    blocks2 = l2_blocks[sid]
-                    if l2_set_len[sid][set2] < l2_assoc:
-                        slot2 = blocks2.index(None, base2,
-                                              base2 + l2_assoc)
-                        l2_set_len[sid][set2] += 1
-                    else:
-                        ages2 = l2_agesl[sid]
-                        segment = ages2[base2:base2 + l2_assoc]
-                        slot2 = base2 + segment.index(min(segment))
-                        victim = blocks2[slot2]
-                        cb = l2_cbs[sid]
-                        if cb is not None:
-                            cb(victim, l2_tagsl[sid][slot2])
-                        stats2.evictions += 1
-                        del where2[victim]
-                    blocks2[slot2] = iblock
-                    l2_tagsl[sid][slot2] = 0
-                    where2[iblock] = slot2
-                    pol2 = l2_pols[sid]
-                    l2_agesl[sid][slot2] = pol2._tick
-                    pol2._tick += 1
-                    latency += dram_access(iblock)
-                cycles += latency
-            if dblock >= 0:
-                slot = d_where_get(dblock)
-                entry = directory_get(dblock) \
-                    if slot is not None else None
-                if entry is None:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-                elif (
-                    (entry.owner == core and len(entry.sharers) == 1)
-                    if dwrite else
-                    (core in entry.sharers
-                     and (entry.owner is None
-                          or entry.owner == core))
-                ):
-                    d_hits += 1
-                    d_tags[slot] = 0
-                    if d_mode == "age":
-                        tick = d_pol._tick
-                        d_ages[slot] = tick
-                        d_pol._tick = tick + 1
-                    elif d_mode == "zero":
-                        d_ages[slot] = 0
-                    elif d_mode == "call":
-                        d_pol.hit_slot(slot)
-                else:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-
-        i_pol._tick = i_tick
-        i_stats = l1i.stats
-        i_stats.hits += i_hits
-        i_stats.misses += i_misses
-        i_stats.evictions += i_evictions
-        # Bulk mutation-version accounting: each inline fill changed
-        # L1-I residency once (the fast-forward memo keys on this).
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
-        l1d_stats.hits += d_hits
-        # Exactly one L2 message crosses the torus per L1-I miss.
-        self.hier.l2_demand_traffic += i_misses
-        noc = self.hier.noc
-        noc.messages += i_misses
-        noc.total_hops += noc_hops
-        thread.pos = end
-        thread.instructions_done += instructions
-        self.total_instructions += instructions
-        self.core_time[core] += int(cycles)
-        return end - pos
-
-    def _run_events_tight_age_ff(
-        self,
-        core: int,
-        thread: TxnThread,
-        max_events: int,
-        tag: int,
-    ) -> int:
-        """:meth:`_run_events_tight_age` with hit-run fast-forwarding.
-
-        The thread view's run tables are the trace's precomputed
-        :meth:`~repro.trace.trace.TransactionTrace.run_tables` pair:
+        **Hit-run fast-forwarding.**  When the thread's view carries
+        the trace's precomputed
+        :meth:`~repro.trace.trace.TransactionTrace.run_tables` pair,
         ``next_ff`` gives the next fast-forward candidate at or after
-        any position, so events outside runs replay on the verbatim
-        scalar chunks below; at a candidate, if every distinct block of
-        the run is L1-I resident the whole run retires with bulk
-        accounting -- per-event cycle terms are still accumulated
-        sequentially (float addition is non-associative), hits are bulk
-        counted, and under MRU promotion each block's age becomes the
-        stamp of its *last* occurrence (``run_start_tick + offset``)
-        with the tick advanced by the run length, exactly the scalar
-        outcome.  A run only touches resident blocks, so no fill,
-        eviction, victim callback, L2 or data-side effect is skipped.
+        any position, so events outside runs replay on scalar chunks;
+        at a candidate, if every distinct block of the run is L1-I
+        resident the whole run retires with bulk accounting -- per-event
+        cycle terms are still accumulated sequentially (float addition
+        is non-associative), hits are bulk counted, and under MRU
+        promotion each block's age becomes the stamp of its *last*
+        occurrence (``run_start_tick + offset``) with the tick advanced
+        by the run length, exactly the scalar outcome.  A run only
+        touches resident blocks, so no fill, eviction, victim callback,
+        L2 or data-side effect is skipped, and monitoring state cannot
+        change during it; while ``flagged`` is set no run is retired in
+        bulk, because the scalar loop would act on it after one event.
 
         The residency probe is memoized per distinct-block tuple under
         a per-set residency signature: the sum of the involved sets'
         fill counters plus the cache's out-of-band mutation count
-        (:attr:`Cache.version` net of the fills the age loops account
-        into it -- flushes, invalidates, tag rewrites and any public
-        access land there).  All components are monotonic, so the sum
+        (:attr:`Cache.version` net of the fills this loop accounts into
+        it -- flushes, invalidates, tag rewrites and any public access
+        land there).  All components are monotonic, so the sum
         compares equal iff nothing touching an involved set changed;
         fills to *other* sets leave the memo valid.  Because the key
         is the run's content rather than its trace position, a
@@ -690,20 +404,29 @@ class SimulationEngine:
          l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
-        events, prefix, (next_ff, runs) = thread.view
+        events, prefix, tables = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
+        n_events = len(events)
         pos = thread.pos
-        end = min(len(events), pos + max_events)
-        instructions = prefix[end] - prefix[pos]
-        ff_memo = self._ff_memos[core]
-        ff_memo_get = ff_memo.get
+        end = min(n_events, pos + max_events)
+        start = pos
         set_fills = self._ff_set_fills[core]
-        # Out-of-band mutation count: version bumps not accounted by
-        # the age loops' bulk fill updates (flush, invalidate, tag
-        # rewrites, any public access).  Constant within the slice.
-        shock = l1i.version - self._ff_fill_base[core]
+        next_ff = None
+        if tables is not None:
+            next_ff, runs = tables
+            ff_memo = self._ff_memos[core]
+            ff_memo_get = ff_memo.get
+            # Out-of-band mutation count: version bumps not accounted
+            # by this loop's bulk fill updates (flush, invalidate, tag
+            # rewrites, any public access).  Constant within the call.
+            shock = l1i.version - self._ff_fill_base[core]
+        monitor = switch_floor is not None
+        # Seeded with the monitoring state the call was entered with.
+        flagged = (monitor and self.switch_requested) or (
+            stop_after_misses and miss_log is not None
+            and len(miss_log) >= stop_after_misses)
         cycles = 0.0
         i_hits = 0
         i_misses = 0
@@ -713,164 +436,62 @@ class SimulationEngine:
         ff_runs = 0
         ff_memo_hits = 0
 
-        p = pos
-        while p < end:
-            nf = next_ff[p]
-            if nf > p:
-                # Scalar chunk up to the next candidate run (or the
-                # slice end); the body is the tight loop's, verbatim.
-                stop = nf if nf < end else end
-                for iblock, icycles, ilen, dblock, dwrite, iset in \
-                        events[p:stop]:
-                    cycles += icycles
-                    slot = i_where_get(iblock)
-                    if slot is not None:
-                        i_hits += 1
-                        i_tags[slot] = tag
-                        if i_promote:
-                            i_ages[slot] = i_tick
-                            i_tick += 1
-                    else:
-                        i_misses += 1
-                        set_fills[iset] += 1
-                        base = iset * i_assoc
-                        if i_set_len[iset] < i_assoc:
-                            slot = i_slot_blocks.index(None, base,
-                                                       base + i_assoc)
-                            i_set_len[iset] += 1
+        while pos < end:
+            if next_ff is None:
+                stop = end
+            else:
+                nf = next_ff[pos]
+                if nf == pos:
+                    # A candidate run starts exactly here.  A flag
+                    # pending on entry must be acted on after one
+                    # event, so the run then replays scalar.
+                    (rend, run_cycles, distinct, last_offs, n_run,
+                     run_sets) = runs[pos]
+                    took = False
+                    if rend <= end and not flagged:
+                        sig = shock
+                        for fset in run_sets:
+                            sig += set_fills[fset]
+                        memo = ff_memo_get(distinct)
+                        if memo is not None and memo[0] == sig:
+                            slots = memo[1]
+                            took = True
+                            ff_memo_hits += 1
                         else:
-                            segment = i_ages[base:base + i_assoc]
-                            slot = base + segment.index(min(segment))
-                            victim = i_slot_blocks[slot]
-                            if i_victim_cb is not None:
-                                i_victim_cb(victim, i_tags[slot])
-                            i_evictions += 1
-                            del i_where[victim]
-                        i_slot_blocks[slot] = iblock
-                        i_tags[slot] = tag
-                        i_where[iblock] = slot
-                        i_ages[slot] = i_tick
-                        i_tick += 1
-                        sid = iblock % num_cores
-                        noc_hops += hops_row[sid]
-                        latency = lat2_row[sid]
-                        where2 = l2_wheres[sid]
-                        slot2 = where2.get(iblock)
-                        if slot2 is not None:
-                            l2_statsl[sid].hits += 1
-                            if l2_promote:
-                                pol2 = l2_pols[sid]
-                                l2_agesl[sid][slot2] = pol2._tick
-                                pol2._tick += 1
-                            l2_tagsl[sid][slot2] = 0
-                        else:
-                            stats2 = l2_statsl[sid]
-                            stats2.misses += 1
-                            set2 = (iblock & l2_mask) if l2_pot \
-                                else (iblock % l2_nsets)
-                            base2 = set2 * l2_assoc
-                            blocks2 = l2_blocks[sid]
-                            if l2_set_len[sid][set2] < l2_assoc:
-                                slot2 = blocks2.index(
-                                    None, base2, base2 + l2_assoc)
-                                l2_set_len[sid][set2] += 1
+                            slots = []
+                            slots_append = slots.append
+                            for block in distinct:
+                                fslot = i_where_get(block)
+                                if fslot is None:
+                                    break
+                                slots_append(fslot)
                             else:
-                                ages2 = l2_agesl[sid]
-                                segment = ages2[base2:base2 + l2_assoc]
-                                slot2 = base2 + segment.index(
-                                    min(segment))
-                                victim = blocks2[slot2]
-                                cb = l2_cbs[sid]
-                                if cb is not None:
-                                    cb(victim, l2_tagsl[sid][slot2])
-                                stats2.evictions += 1
-                                del where2[victim]
-                            blocks2[slot2] = iblock
-                            l2_tagsl[sid][slot2] = 0
-                            where2[iblock] = slot2
-                            pol2 = l2_pols[sid]
-                            l2_agesl[sid][slot2] = pol2._tick
-                            pol2._tick += 1
-                            latency += dram_access(iblock)
-                        cycles += latency
-                    if dblock >= 0:
-                        slot = d_where_get(dblock)
-                        entry = directory_get(dblock) \
-                            if slot is not None else None
-                        if entry is None:
-                            cycles += (
-                                access_data(core, dblock, dwrite)
-                                - l1d_hit_latency
-                            )
-                        elif (
-                            (entry.owner == core
-                             and len(entry.sharers) == 1)
-                            if dwrite else
-                            (core in entry.sharers
-                             and (entry.owner is None
-                                  or entry.owner == core))
-                        ):
-                            d_hits += 1
-                            d_tags[slot] = 0
-                            if d_mode == "age":
-                                tick = d_pol._tick
-                                d_ages[slot] = tick
-                                d_pol._tick = tick + 1
-                            elif d_mode == "zero":
-                                d_ages[slot] = 0
-                            elif d_mode == "call":
-                                d_pol.hit_slot(slot)
-                        else:
-                            cycles += (
-                                access_data(core, dblock, dwrite)
-                                - l1d_hit_latency
-                            )
-                p = stop
-                continue
-            # A candidate run starts exactly at p.
-            (rend, run_cycles, distinct, last_offs, n_run,
-             run_sets) = runs[p]
-            took = False
-            if rend <= end:
-                sig = shock
-                for fset in run_sets:
-                    sig += set_fills[fset]
-                memo = ff_memo_get(distinct)
-                if memo is not None and memo[0] == sig:
-                    slots = memo[1]
-                    took = True
-                    ff_memo_hits += 1
+                                took = True
+                                ff_memo[distinct] = (sig, slots)
+                    if took:
+                        # Every block resident: the run is all hits, so
+                        # no state beyond ages/tags/stats can change --
+                        # retire it.
+                        ff_runs += 1
+                        for icycles in run_cycles:
+                            cycles += icycles
+                        i_hits += n_run
+                        if i_promote:
+                            for fslot, off in zip(slots, last_offs):
+                                i_ages[fslot] = i_tick + off
+                            i_tick += n_run
+                        for fslot in slots:
+                            i_tags[fslot] = tag
+                        pos = rend
+                        continue
+                    # Not fully resident (or it straddles the slice
+                    # end): replay it scalar.
+                    stop = rend if rend < end else end
                 else:
-                    slots = []
-                    slots_append = slots.append
-                    for block in distinct:
-                        fslot = i_where_get(block)
-                        if fslot is None:
-                            break
-                        slots_append(fslot)
-                    else:
-                        took = True
-                        ff_memo[distinct] = (sig, slots)
-            if took:
-                # Every block resident: the run is all hits, so no
-                # state beyond ages/tags/stats can change -- retire it.
-                ff_runs += 1
-                for icycles in run_cycles:
-                    cycles += icycles
-                i_hits += n_run
-                if i_promote:
-                    for fslot, off in zip(slots, last_offs):
-                        i_ages[fslot] = i_tick + off
-                    i_tick += n_run
-                for fslot in slots:
-                    i_tags[fslot] = tag
-                p = rend
-                continue
-            # Run not fully resident (or it straddles the slice end):
-            # replay it scalar, then resume the run walk after it.
-            stop = rend if rend < end else end
+                    # Scalar chunk up to the next candidate run.
+                    stop = nf if nf < end else end
             for iblock, icycles, ilen, dblock, dwrite, iset in \
-                    events[p:stop]:
+                    events[pos:stop]:
                 cycles += icycles
                 slot = i_where_get(iblock)
                 if slot is not None:
@@ -880,6 +501,7 @@ class SimulationEngine:
                         i_ages[slot] = i_tick
                         i_tick += 1
                 else:
+                    # L1-I miss: fill (evicting by oldest age) ...
                     i_misses += 1
                     set_fills[iset] += 1
                     base = iset * i_assoc
@@ -893,6 +515,8 @@ class SimulationEngine:
                         victim = i_slot_blocks[slot]
                         if i_victim_cb is not None:
                             i_victim_cb(victim, i_tags[slot])
+                            if monitor and self.switch_requested:
+                                flagged = True
                         i_evictions += 1
                         del i_where[victim]
                     i_slot_blocks[slot] = iblock
@@ -900,6 +524,7 @@ class SimulationEngine:
                     i_where[iblock] = slot
                     i_ages[slot] = i_tick
                     i_tick += 1
+                    # ... then the home L2 slice over the torus.
                     sid = iblock % num_cores
                     noc_hops += hops_row[sid]
                     latency = lat2_row[sid]
@@ -941,7 +566,17 @@ class SimulationEngine:
                         pol2._tick += 1
                         latency += dram_access(iblock)
                     cycles += latency
+                    if miss_log is not None:
+                        miss_log.append(iblock)
+                        if stop_after_misses \
+                                and len(miss_log) >= stop_after_misses:
+                            flagged = True
                 if dblock >= 0:
+                    # Hits whose directory transition is a no-op --
+                    # reads with no remote owner, writes already held
+                    # exclusive -- resolve inline (latency contribution
+                    # is exactly zero).  Everything else takes the full
+                    # coherent path.
                     slot = d_where_get(dblock)
                     entry = directory_get(dblock) \
                         if slot is not None else None
@@ -951,8 +586,7 @@ class SimulationEngine:
                             - l1d_hit_latency
                         )
                     elif (
-                        (entry.owner == core
-                         and len(entry.sharers) == 1)
+                        (entry.owner == core and len(entry.sharers) == 1)
                         if dwrite else
                         (core in entry.sharers
                          and (entry.owner is None
@@ -973,238 +607,14 @@ class SimulationEngine:
                             access_data(core, dblock, dwrite)
                             - l1d_hit_latency
                         )
-            p = stop
-
-        i_pol._tick = i_tick
-        i_stats = l1i.stats
-        i_stats.hits += i_hits
-        i_stats.misses += i_misses
-        i_stats.evictions += i_evictions
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
-        l1d_stats.hits += d_hits
-        self.hier.l2_demand_traffic += i_misses
-        noc = self.hier.noc
-        noc.messages += i_misses
-        noc.total_hops += noc_hops
-        self.ff_runs += ff_runs
-        self.ff_memo_hits += ff_memo_hits
-        thread.pos = end
-        thread.instructions_done += instructions
-        self.total_instructions += instructions
-        self.core_time[core] += int(cycles)
-        return end - pos
-
-    def _run_events_fast_age(
-        self,
-        core: int,
-        thread: TxnThread,
-        max_events: int,
-        tag: int,
-        switch_floor: Optional[int],
-        miss_log: Optional[list],
-        stop_after_misses: int,
-    ) -> int:
-        """:meth:`_run_events_tight_age` plus the monitored features.
-
-        Handles STREX switch monitoring (with its progress floor) and
-        SLICC miss logging/bounding with the same fully inlined cache
-        machinery; only the per-event epilogue differs from the tight
-        loop.
-
-        Hit-run fast-forwarding applies here too, with extra guards: a
-        fully resident run is all L1-I hits with no data-side events,
-        so it can neither append to ``miss_log`` nor fire the victim
-        callback that sets ``switch_requested`` -- monitoring state
-        cannot change *during* the run.  It may already be armed at the
-        run's start, though (the scalar loop would act on it after one
-        more event), so a run is only retired in bulk when neither
-        condition currently holds.
-        """
-        (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
-         i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
-         d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
-         l1d_hit_latency,
-         l2_wheres, l2_blocks, l2_tagsl, l2_set_len, l2_pols,
-         l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
-         l2_mask, l2_promote, num_cores, dram_access, directory_get,
-         access_data) = self._age_statics[core]
-        events, prefix, tables = thread.view
-        i_victim_cb = l1i.victim_callback
-        i_where_get = i_where.get
-        i_tick = i_pol._tick
-        n_events = len(events)
-        pos = thread.pos
-        end = min(n_events, pos + max_events)
-        start = pos
-        set_fills = self._ff_set_fills[core]
-        next_ff = None
-        if tables is not None:
-            next_ff, runs = tables
-            ff_memo = self._ff_memos[core]
-            ff_memo_get = ff_memo.get
-            shock = l1i.version - self._ff_fill_base[core]
-        cycles = 0.0
-        instructions = 0
-        i_hits = 0
-        i_misses = 0
-        i_evictions = 0
-        d_hits = 0
-        noc_hops = 0
-        ff_runs = 0
-        ff_memo_hits = 0
-
-        while pos < end:
-            if next_ff is not None and next_ff[pos] == pos:
-                (rend, run_cycles, distinct, last_offs, n_run,
-                 run_sets) = runs[pos]
-                if rend <= end \
-                        and not (switch_floor is not None
-                                 and self.switch_requested) \
-                        and not (stop_after_misses
-                                 and miss_log is not None
-                                 and len(miss_log)
-                                 >= stop_after_misses):
-                    sig = shock
-                    for fset in run_sets:
-                        sig += set_fills[fset]
-                    memo = ff_memo_get(distinct)
-                    if memo is not None and memo[0] == sig:
-                        slots = memo[1]
-                        took = True
-                        ff_memo_hits += 1
-                    else:
-                        took = False
-                        slots = []
-                        slots_append = slots.append
-                        for block in distinct:
-                            fslot = i_where_get(block)
-                            if fslot is None:
-                                break
-                            slots_append(fslot)
-                        else:
-                            took = True
-                            ff_memo[distinct] = (sig, slots)
-                    if took:
-                        ff_runs += 1
-                        for icycles in run_cycles:
-                            cycles += icycles
-                        instructions += prefix[rend] - prefix[pos]
-                        i_hits += n_run
-                        if i_promote:
-                            for fslot, off in zip(slots, last_offs):
-                                i_ages[fslot] = i_tick + off
-                            i_tick += n_run
-                        for fslot in slots:
-                            i_tags[fslot] = tag
-                        pos = rend
-                        continue
-            iblock, icycles, ilen, dblock, dwrite, iset = events[pos]
-            instructions += ilen
-            cycles += icycles
-            slot = i_where_get(iblock)
-            if slot is not None:
-                i_hits += 1
-                i_tags[slot] = tag
-                if i_promote:
-                    i_ages[slot] = i_tick
-                    i_tick += 1
+                if flagged:
+                    break
             else:
-                i_misses += 1
-                set_fills[iset] += 1
-                base = iset * i_assoc
-                if i_set_len[iset] < i_assoc:
-                    slot = i_slot_blocks.index(None, base,
-                                               base + i_assoc)
-                    i_set_len[iset] += 1
-                else:
-                    segment = i_ages[base:base + i_assoc]
-                    slot = base + segment.index(min(segment))
-                    victim = i_slot_blocks[slot]
-                    if i_victim_cb is not None:
-                        i_victim_cb(victim, i_tags[slot])
-                    i_evictions += 1
-                    del i_where[victim]
-                i_slot_blocks[slot] = iblock
-                i_tags[slot] = tag
-                i_where[iblock] = slot
-                i_ages[slot] = i_tick
-                i_tick += 1
-                sid = iblock % num_cores
-                noc_hops += hops_row[sid]
-                latency = lat2_row[sid]
-                where2 = l2_wheres[sid]
-                slot2 = where2.get(iblock)
-                if slot2 is not None:
-                    l2_statsl[sid].hits += 1
-                    if l2_promote:
-                        pol2 = l2_pols[sid]
-                        l2_agesl[sid][slot2] = pol2._tick
-                        pol2._tick += 1
-                    l2_tagsl[sid][slot2] = 0
-                else:
-                    stats2 = l2_statsl[sid]
-                    stats2.misses += 1
-                    set2 = (iblock & l2_mask) if l2_pot \
-                        else (iblock % l2_nsets)
-                    base2 = set2 * l2_assoc
-                    blocks2 = l2_blocks[sid]
-                    if l2_set_len[sid][set2] < l2_assoc:
-                        slot2 = blocks2.index(None, base2,
-                                              base2 + l2_assoc)
-                        l2_set_len[sid][set2] += 1
-                    else:
-                        ages2 = l2_agesl[sid]
-                        segment = ages2[base2:base2 + l2_assoc]
-                        slot2 = base2 + segment.index(min(segment))
-                        victim = blocks2[slot2]
-                        cb = l2_cbs[sid]
-                        if cb is not None:
-                            cb(victim, l2_tagsl[sid][slot2])
-                        stats2.evictions += 1
-                        del where2[victim]
-                    blocks2[slot2] = iblock
-                    l2_tagsl[sid][slot2] = 0
-                    where2[iblock] = slot2
-                    pol2 = l2_pols[sid]
-                    l2_agesl[sid][slot2] = pol2._tick
-                    pol2._tick += 1
-                    latency += dram_access(iblock)
-                cycles += latency
-                if miss_log is not None:
-                    miss_log.append(iblock)
-            if dblock >= 0:
-                slot = d_where_get(dblock)
-                entry = directory_get(dblock) \
-                    if slot is not None else None
-                if entry is None:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-                elif (
-                    (entry.owner == core and len(entry.sharers) == 1)
-                    if dwrite else
-                    (core in entry.sharers
-                     and (entry.owner is None
-                          or entry.owner == core))
-                ):
-                    d_hits += 1
-                    d_tags[slot] = 0
-                    if d_mode == "age":
-                        tick = d_pol._tick
-                        d_ages[slot] = tick
-                        d_pol._tick = tick + 1
-                    elif d_mode == "zero":
-                        d_ages[slot] = 0
-                    elif d_mode == "call":
-                        d_pol.hit_slot(slot)
-                else:
-                    cycles += (
-                        access_data(core, dblock, dwrite)
-                        - l1d_hit_latency
-                    )
-            pos += 1
+                pos = stop
+                continue
+            # Flagged: every event is exactly one L1-I hit or miss.
+            pos = start + i_hits + i_misses
+            flagged = False
             if switch_floor is not None and self.switch_requested:
                 if pos - start >= switch_floor or pos == n_events:
                     break
@@ -1217,14 +627,18 @@ class SimulationEngine:
                     and len(miss_log) >= stop_after_misses:
                 break
 
+        instructions = prefix[pos] - prefix[start]
         i_pol._tick = i_tick
         i_stats = l1i.stats
         i_stats.hits += i_hits
         i_stats.misses += i_misses
         i_stats.evictions += i_evictions
+        # Bulk mutation-version accounting: each inline fill changed
+        # L1-I residency once (the fast-forward memo keys on this).
         l1i.version += i_misses
         self._ff_fill_base[core] += i_misses
         l1d_stats.hits += d_hits
+        # Exactly one L2 message crosses the torus per L1-I miss.
         self.hier.l2_demand_traffic += i_misses
         noc = self.hier.noc
         noc.messages += i_misses

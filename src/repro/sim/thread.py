@@ -36,9 +36,9 @@ class TxnThread:
         self.thread_id = thread_id
         self.trace = trace
         self.n_events = len(trace)
-        # The age loops' per-thread kernel view, ``(packed_events,
+        # The age loop's per-thread kernel view, ``(packed_events,
         # instruction_prefix, run_tables)``; bound by the engine at
-        # construction when it runs those loops, else None.
+        # construction when it runs that loop, else None.
         self.view: Optional[tuple] = None
         self.pos = 0
         self.arrival = arrival

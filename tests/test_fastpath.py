@@ -12,11 +12,15 @@ import random
 import pytest
 
 from repro.cache.cache import Cache, CacheStats, ReferenceCache
-from repro.config import CacheConfig
+from repro.config import CacheConfig, tiny_scale
 from repro.exp import runner as runner_mod
 from repro.exp.manifest import Manifest, ManifestEntry
 from repro.exp.spec import RunSpec
+from repro.fastpath import ENV_VAR
+from repro.sched.base import BaselineScheduler
+from repro.sim.engine import SimulationEngine
 from repro.trace.trace import TransactionTrace
+from repro.workloads import WORKLOADS
 
 POLICIES = ("lru", "fifo", "random", "lip", "bip", "dip",
             "srrip", "brrip")
@@ -186,6 +190,32 @@ class TestTraceMemos:
         assert prefix == [0, 4, 6, 13, 14, 17]
         assert prefix[-1] == trace.total_instructions
         assert trace.instruction_prefix() is prefix
+
+
+class TestPackedEventsOnlyForAgeEngines:
+    """Only the age loop reads packed events.
+
+    A fast-kernel engine on a non-age L1 policy without a prefetcher
+    runs the general loop, which reads the trace's columns directly;
+    it must never build the packed per-event tuples, which would only
+    cost memory.
+    """
+
+    @pytest.mark.parametrize("policy, age", [
+        ("bip", False), ("srrip", False), ("lru", True)])
+    def test_packed_memo_filled_only_by_age_runs(self, monkeypatch,
+                                                 policy, age):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        config = tiny_scale().with_l1_replacement(policy)
+        suite = WORKLOADS["tpcc"](config.l1i_blocks, 1013)
+        traces = suite.generate_mix(4, seed=1013)
+        assert not any(trace._packed_events for trace in traces)
+        engine = SimulationEngine(config, traces, BaselineScheduler)
+        assert engine._fast_kernel and not engine.prefetcher_active
+        assert engine._age_kernel == age
+        engine.run("tpcc")
+        assert all(bool(trace._packed_events) == age
+                   for trace in traces)
 
 
 class TestRunnerTraceMemo:

@@ -173,9 +173,11 @@ class MultiCallStrex(StrexScheduler):
 
 
 #: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
-#: takes the age loop, BIP the non-age fast loop, and a prefetcher the
-#: general loop; under ``REPRO_SIM_REFERENCE=1`` all three take the
-#: general loop over the reference caches.
+#: takes the age loop; BIP takes the general loop over the flat caches
+#: (the key keeps the name of the non-age loop it once had, so test ids
+#: stay put), and a prefetcher the general loop too; under
+#: ``REPRO_SIM_REFERENCE=1`` all three take the general loop over the
+#: reference caches.
 FLOOR_LOOPS = {
     "age": (lambda config: config, None),
     "fast": (lambda config: config.with_l1_replacement("bip"), None),
@@ -294,3 +296,66 @@ class TestSwitchFloorEdges:
         assert executed == assoc + 3
         assert engine.switch_requested
 
+    def _one_block_engine(self, monkeypatch, loop, reference, lengths):
+        """Threads that each repeat block 0, ``lengths`` events apiece,
+        after a one-event warm-up call on the first thread.
+
+        After the warm-up miss every event is an instruction-only L1-I
+        hit, so no miss inside a later call can arm monitoring -- only
+        the state the call was entered with.
+        """
+        transform, prefetcher = FLOOR_LOOPS[loop]
+        config = transform(tiny_scale(num_cores=1))
+        traces = []
+        for txn_id, length in enumerate(lengths):
+            builder = TraceBuilder(txn_id, "S")
+            for _ in range(length):
+                builder.append(0, 10)
+            traces.append(builder.build())
+        _set_kernel(monkeypatch, reference)
+        engine = SimulationEngine(config, traces, BaselineScheduler,
+                                  prefetcher)
+        assert engine.run_events(0, engine.threads[0], 1) == 1
+        return engine
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    @pytest.mark.parametrize("entry, expected", [
+        # A pending request under floor 1 stops after one event ...
+        (dict(switch_floor=1), (1, True, 127)),
+        # ... under floor 5 it is absorbed after one event, re-arming
+        # the quantum (1 + 30 events).
+        (dict(switch_floor=5), (31, False, 217)),
+        # A miss log already past its bound stops after one event.
+        (dict(miss_log=[1, 2, 3], stop_after_misses=2), (1, False, 127)),
+    ], ids=("pending-floor-1", "pending-floor-5", "miss-log-full"))
+    def test_pre_armed_entry_acts_after_one_event(
+            self, monkeypatch, loop, reference, entry, expected):
+        engine = self._one_block_engine(monkeypatch, loop, reference,
+                                        (40,))
+        engine.switch_requested = "switch_floor" in entry
+        executed = engine.run_events(0, engine.threads[0], 30, **entry)
+        assert (executed, engine.switch_requested,
+                engine.core_time[0]) == expected
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
+    def test_pre_armed_entry_blocks_bulk_retire(self, monkeypatch, loop,
+                                                reference):
+        # The call starts on a 20-event hit run that fits the quantum,
+        # which the age loop retires in bulk when nothing is pending;
+        # a pending request must still stop the call after one event.
+        idle = self._one_block_engine(monkeypatch, loop, reference,
+                                      (1, 20))
+        assert idle.run_events(0, idle.threads[1], 30,
+                               switch_floor=1) == 20
+        assert idle.ff_runs == int(idle._ff_enabled)
+        assert idle._ff_enabled == (loop == "age" and not reference)
+        armed = self._one_block_engine(monkeypatch, loop, reference,
+                                       (1, 20))
+        armed.switch_requested = True
+        assert armed.run_events(0, armed.threads[1], 30,
+                                switch_floor=1) == 1
+        assert armed.switch_requested
+        assert armed.core_time[0] == 127
+        assert armed.ff_runs == 0
