@@ -199,25 +199,32 @@ class Cache:
         slot = self._where.get(block)
         if slot is not None:
             self.stats.hits += 1
-            self.policy.hit_slot(slot)
+            policy = self.policy
+            mode = policy.hit_mode
+            if mode == "age":
+                policy._ages[slot] = policy._tick
+                policy._tick += 1
+            elif mode == "zero":
+                policy.hit_array[slot] = 0
+            elif mode == "call":
+                policy.hit_slot(slot)
             self._slot_tags[slot] = tag
             return True
-        self.stats.misses += 1
-        set_index = self.set_index(block)
-        if self._policy_has_on_miss:
-            self.policy.on_miss(set_index)
-        self._fill(set_index, block, tag)
+        # The flattened fill: one call per miss instead of three.  With
+        # the bump above the version moves by two, a probe plus a fill.
+        self.miss_fill(block, tag, block & self._set_mask
+                       if self._power_of_two else block % self.num_sets)
         return False
 
     def miss_fill(self, block: int, tag: int, set_index: int) -> None:
         """Demand-miss bookkeeping with a precomputed set index.
 
-        The inlined L2 access
+        The caller -- :meth:`access`, the inlined L2 access
         (:meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access_fast`)
-        already established the block is absent; this charges the miss
-        and fills, skipping the redundant probe of :meth:`access`.  The
-        body is :meth:`_fill` flattened in (one call per miss instead
-        of four on the LRU default).
+        or the general event loop's inlined L1-I probe -- already
+        established the block is absent; this charges the miss and
+        fills.  The body is :meth:`_fill` flattened in (one call per
+        miss instead of four on the LRU default).
         """
         self.version += 1
         self.stats.misses += 1

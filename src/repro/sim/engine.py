@@ -214,7 +214,21 @@ class SimulationEngine:
         hier = self.hier
         l1i = hier.l1i[core]
         l1i_access = l1i.access
-        l1i_hit_latency = l1i.config.hit_latency
+        # Over the flat layout the L1-I probe and a hit's update are
+        # inlined: a method call per event would cost the non-age
+        # policies several percent of a cell.  The reference layout
+        # always calls access().
+        flat = not l1i._reference
+        if flat:
+            i_where_get = l1i._where.get
+            i_tags = l1i._slot_tags
+            i_pol = l1i.policy
+            i_mode = i_pol.hit_mode
+            i_hit_array = i_pol.hit_array
+            i_miss_fill = l1i.miss_fill
+            i_mask = l1i._set_mask if l1i._power_of_two else None
+            i_sets = l1i.num_sets
+        i_hits = 0
         l1d_hit_latency = hier.l1d[core].config.hit_latency
         access_data = hier.access_data
         l2_access = hier._l2_access
@@ -230,7 +244,25 @@ class SimulationEngine:
             iblock = iblocks[pos]
             ilen = ilens[pos]
             instructions += ilen
-            hit = l1i_access(iblock, tag)
+            if flat:
+                slot = i_where_get(iblock)
+                hit = slot is not None
+                if hit:
+                    i_hits += 1
+                    i_tags[slot] = tag
+                    if i_mode == "age":
+                        tick = i_pol._tick
+                        i_hit_array[slot] = tick
+                        i_pol._tick = tick + 1
+                    elif i_mode == "zero":
+                        i_hit_array[slot] = 0
+                    elif i_mode == "call":
+                        i_pol.hit_slot(slot)
+                else:
+                    i_miss_fill(iblock, tag, iblock & i_mask
+                                if i_mask is not None else iblock % i_sets)
+            else:
+                hit = l1i_access(iblock, tag)
             cycles += ilen * cpi
             if not hit:
                 if use_prefetcher:
@@ -270,6 +302,10 @@ class SimulationEngine:
                     and len(miss_log) >= stop_after_misses:
                 break
 
+        if flat:
+            l1i.stats.hits += i_hits
+            # access() bumps the version once per probe.
+            l1i.version += pos - start
         thread.pos = pos
         thread.instructions_done += instructions
         self.total_instructions += instructions

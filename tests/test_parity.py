@@ -142,6 +142,32 @@ class TestTracedParity:
         assert (tmp_path / "trace.jsonl").exists()
 
 
+class TestGeneralLoopCacheState:
+    """The general loop's inlined L1-I probe over the flat layout leaves
+    every L1-I as ``access()`` would: the same counters and mutation
+    version as the reference layout, for each hit mode (none, age with
+    set dueling, age, zero), with and without a prefetcher."""
+
+    @pytest.mark.parametrize("prefetcher", (None, NextLinePrefetcher))
+    @pytest.mark.parametrize("policy", ("random", "dip", "bip", "srrip"))
+    def test_l1i_counters_and_version_match_reference(
+            self, monkeypatch, policy, prefetcher):
+        config = tiny_scale().with_l1_replacement(policy)
+        traces = _traces("tpcc", config)
+        states = []
+        for reference in (False, True):
+            _set_kernel(monkeypatch, reference)
+            engine = SimulationEngine(config, traces, StrexScheduler,
+                                      prefetcher)
+            assert not engine._age_kernel
+            result = json.dumps(engine.run("tpcc").to_dict(),
+                                sort_keys=True)
+            states.append((result, [
+                (cache.stats.snapshot(), cache.version)
+                for cache in engine.hier.l1i]))
+        assert states[0] == states[1]
+
+
 class MultiCallStrex(StrexScheduler):
     """STREX with the progress floor enforced outside the kernel.
 
