@@ -6,12 +6,11 @@ subcommand expands a full parameter grid and drives it through the
 ``repro.exp`` runner (parallel workers + content-addressed result
 cache).
 
-The ``shard`` subcommand splits a sweep across processes or machines
+The ``shard`` subcommand splits a sweep across machines (or CI jobs)
 by hash-range of the content-addressed cache key: ``--shard i/N`` runs
-one slice into a private cache directory (on any machine), ``--merge``
-unions shard caches back into the shared one with conflict detection,
-and ``--all`` orchestrates every shard as local subprocesses —
-including crash recovery — and merges at the end.
+one slice into a private cache directory, and ``--merge`` unions shard
+caches back into the shared one with conflict detection.  On one
+machine, ``sweep --jobs N`` is the parallel form.
 
 The ``manifest`` subcommand summarizes the run manifest the cache
 keeps: hit rates, wall time by workload/scheduler, and the slowest
@@ -43,11 +42,11 @@ rollups; ``tree`` for the nested span tree per process; ``export
 the kernel counters of a traced run in the bench report.
 
 The ``serve``/``submit``/``status`` subcommands are the persistent
-sweep service (``repro.svc``): ``serve`` starts a supervisor plus N
-long-lived warm workers over a cache directory, ``submit`` enqueues a
-grid onto the service's bounded priority queue (``--wait`` blocks
-until the job finishes), and ``status`` reports queue depth,
-per-worker warm-cache stats, and job outcomes (``--json`` for CI).
+sweep service (``repro.svc``): ``submit`` enqueues a grid as one job
+on the service's bounded priority queue (``--wait`` blocks until the
+job finishes), ``serve`` runs queued jobs one at a time through the
+same runner as ``sweep`` with ``--workers`` pool processes, and
+``status`` reports queue depth and job outcomes (``--json`` for CI).
 Served results are byte-identical to ``repro sweep`` on the same
 cache.
 
@@ -62,8 +61,6 @@ Examples::
         --schedulers strex --no-cache
     python -m repro sweep --workloads tpcc --schedulers strex \\
         --strex-overrides '{"phase_bits": [2, 4, 8]}'
-    python -m repro shard --all --procs 4 --workloads tpcc tpce \\
-        --schedulers base strex --cores 2 4 8
     python -m repro shard --shard 0/2 --workloads tpcc --cores 2 4
     python -m repro shard --merge benchmarks/out/.cache/shards/0-of-2
     python -m repro manifest --top 5
@@ -126,7 +123,6 @@ from repro.exp import (
     merge_caches,
     pin_baseline,
     reference_diff,
-    run_all_shards,
     run_shard,
     shard_root,
     summarize_entries,
@@ -343,17 +339,17 @@ def run_exp_sweep(argv: List[str]) -> str:
 
 
 def build_shard_parser() -> argparse.ArgumentParser:
-    """Parser for the ``shard`` subcommand (cross-process sweeps)."""
+    """Parser for the ``shard`` subcommand (cross-machine sweeps)."""
     parser = argparse.ArgumentParser(
         prog="repro shard",
-        description="Split a sweep across processes or machines by "
-                    "hash-range of the content-addressed cache key: "
-                    "run one shard into a private cache (--shard), "
-                    "orchestrate every shard locally (--all), or "
-                    "union shard caches into the shared one "
-                    "(--merge).  Merges are conflict-safe: the same "
-                    "key with different payloads is a hard error, "
-                    "never last-writer-wins.",
+        description="Split a sweep across machines by hash-range of "
+                    "the content-addressed cache key: run one shard "
+                    "into a private cache (--shard), or union shard "
+                    "caches into the shared one (--merge).  Merges "
+                    "are conflict-safe: the same key with different "
+                    "payloads is a hard error, never "
+                    "last-writer-wins.  On one machine, 'repro sweep "
+                    "--jobs N' runs a grid in parallel.",
     )
     _add_grid_arguments(parser)
     _add_runner_arguments(parser)
@@ -361,16 +357,9 @@ def build_shard_parser() -> argparse.ArgumentParser:
     action.add_argument("--shard", type=ShardSpec.parse, metavar="I/N",
                         help="run shard I of N into a private "
                              "cache directory")
-    action.add_argument("--all", action="store_true",
-                        help="orchestrate every shard as local "
-                             "subprocesses, then merge")
     action.add_argument("--merge", nargs="+", type=Path, metavar="DIR",
                         help="merge shard cache directories into "
                              "--cache-dir (no simulation)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard count for --all (default: --procs)")
-    parser.add_argument("--procs", type=int, default=2, metavar="K",
-                        help="concurrent shard subprocesses for --all")
     parser.add_argument("--shard-dir", type=Path, default=None,
                         help="private cache directory for --shard "
                              "(default: <cache-dir>/shards/<i>-of-<n>)")
@@ -401,20 +390,6 @@ def run_shard_cmd(argv: List[str]) -> str:
         report = merge_caches(ResultCache(args.cache_dir), args.merge)
         return f"{report.describe()} -> {args.cache_dir}"
     specs = _shard_specs(args)
-    if args.all:
-        count = args.shards if args.shards is not None else args.procs
-        report = run_all_shards(
-            specs, cache_dir=args.cache_dir, count=count,
-            procs=args.procs, jobs=args.jobs, timeout=args.timeout,
-            retries=args.retries)
-        lines = [report.describe()]
-        for index in sorted(report.launches):
-            owned = sum(1 for key in report.keys
-                        if ShardSpec.assign(key, count) == index)
-            lines.append(f"  shard {index}/{count}: {owned} cell(s), "
-                         f"{report.launches[index]} launch(es)")
-        lines.append(f"merged cache: {args.cache_dir}")
-        return "\n".join(lines)
     root = args.shard_dir if args.shard_dir is not None \
         else shard_root(args.cache_dir, args.shard)
     outcome = run_shard(specs, args.shard, root, jobs=args.jobs,
@@ -958,19 +933,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
     """Parser for the ``serve`` subcommand (the sweep service)."""
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="Start the persistent sweep service: a supervisor "
-                    "plus N long-lived worker processes that keep "
-                    "trace memos and run tables warm across jobs.  Jobs "
-                    "arrive via 'repro submit' on a bounded, "
-                    "priority-aware, file-backed queue; results land "
-                    "in the same ResultCache/Manifest as 'repro "
-                    "sweep' (byte-identical entries).  SIGTERM drains "
-                    "gracefully: workers finish their in-flight cell "
-                    "and pending work survives on disk for the next "
-                    "serve.",
+        description="Start the persistent sweep service.  Jobs arrive "
+                    "via 'repro submit' on a bounded, priority-aware, "
+                    "file-backed queue and run one at a time through "
+                    "the same runner as 'repro sweep', so results land "
+                    "in the same ResultCache/Manifest (byte-identical "
+                    "entries).  SIGTERM stops the service: the running "
+                    "job is abandoned and resumed by the next serve, "
+                    "with its finished cells served from the cache.",
     )
     parser.add_argument("--workers", type=int, default=2,
-                        help="long-lived worker processes (default 2)")
+                        help="pool processes per job; 1 runs cells "
+                             "inline in the supervisor (default 2)")
     parser.add_argument("--cache-dir", type=Path,
                         default=DEFAULT_CACHE_DIR)
     parser.add_argument("--svc-dir", type=Path, default=None,
@@ -980,16 +954,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="bound on pending jobs before submit "
                              "pushes back (default 256)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock budget in seconds "
-                             "(best-effort: service cells run inline "
-                             "on worker threads, where SIGALRM cannot "
-                             "be armed)")
+                        help="per-run wall-clock budget in seconds")
     parser.add_argument("--retries", type=int, default=2,
                         help="extra attempts after transient failures")
-    parser.add_argument("--heartbeat-timeout", type=float, default=None,
-                        help="seconds without a worker heartbeat "
-                             "before it is declared dead and its "
-                             "claimed cells are re-queued")
     parser.add_argument("--poll-interval", type=float, default=0.05,
                         help="supervisor loop idle wait in seconds")
     return parser
@@ -998,7 +965,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def run_serve(argv: List[str]) -> str:
     """Execute the ``serve`` subcommand (blocks until SIGTERM)."""
     from repro.svc import Supervisor
-    from repro.svc.supervisor import HEARTBEAT_TIMEOUT
 
     args = build_serve_parser().parse_args(argv)
     supervisor = Supervisor(
@@ -1008,13 +974,10 @@ def run_serve(argv: List[str]) -> str:
         timeout=args.timeout,
         retries=args.retries,
         queue_capacity=args.queue_capacity,
-        heartbeat_timeout=(args.heartbeat_timeout
-                           if args.heartbeat_timeout is not None
-                           else HEARTBEAT_TIMEOUT),
         poll_interval=args.poll_interval,
     )
     print(f"serving {supervisor.svc_root} with {supervisor.workers} "
-          f"worker(s) (pid {os.getpid()}); SIGTERM drains",
+          f"worker(s) (pid {os.getpid()}); SIGTERM stops",
           flush=True)
     try:
         supervisor.serve()
@@ -1101,8 +1064,7 @@ def run_submit(argv: List[str]) -> Tuple[str, int]:
         f"{record.get('done', 0)} done, "
         f"{record.get('cache_hits', 0)} cache hit(s), "
         f"{record.get('executed', 0)} executed, "
-        f"{record.get('warm_hits', 0)} warm "
-        f"({100.0 * (record.get('warm_rate') or 0.0):.1f}%), "
+        f"warm {100.0 * (record.get('warm_rate') or 0.0):.1f}%, "
         f"wall {record.get('wall_s', 0.0):.3f}s "
         f"(queued {record.get('queue_wait_s', 0.0):.3f}s)",
         0,
@@ -1114,10 +1076,9 @@ def build_status_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro status",
         description="Report the sweep service's state: supervisor "
-                    "liveness, queue depth vs capacity, per-worker "
-                    "warm-cache stats (cache hits, trace-memo hit "
-                    "rate, restarts), and job "
-                    "outcomes.  Read-only and file-based: works "
+                    "liveness, queue depth vs capacity, and job "
+                    "outcomes (cache hits, executed cells, warm "
+                    "rate).  Read-only and file-based: works "
                     "whether or not the service is running.",
     )
     parser.add_argument("--cache-dir", type=Path,

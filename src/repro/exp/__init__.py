@@ -13,12 +13,15 @@ The subsystem has four parts (see DESIGN.md §3):
 * :mod:`repro.exp.manifest` — :class:`Manifest`, an append-only JSONL
   audit trail of every run (key, hit/miss, wall time, worker, shard).
 
-:mod:`repro.exp.shard` layers cross-process sharding on top: a
+:class:`Runner` is the one executor of cells: ``repro sweep``, the
+benchmarks, one shard of a sweep and every job of the sweep service
+(:mod:`repro.svc`) all run through it.
+
+:mod:`repro.exp.shard` layers cross-machine sharding on top: a
 :class:`ShardSpec` partitions any sweep by hash-range of the cache
 key, :func:`run_shard` executes one slice into a private directory,
-:func:`merge_caches` unions shard caches conflict-safely, and
-:func:`run_all_shards` orchestrates a full local multi-process sweep
-(``repro shard`` on the command line).
+and :func:`merge_caches` unions shard caches conflict-safely
+(``repro shard --shard I/N`` and ``--merge`` on the command line).
 
 :mod:`repro.exp.diff` and :mod:`repro.exp.baseline` are ``repro.audit``
 — the auditing layer over the whole pipeline: ``repro diff`` aligns
@@ -76,13 +79,10 @@ from repro.exp.runner import (
 )
 from repro.exp.shard import (
     MergeReport,
-    ShardFailure,
     ShardMergeConflict,
     ShardRun,
-    ShardSweepReport,
     merge_caches,
     partition,
-    run_all_shards,
     run_shard,
     shard_root,
 )
@@ -110,11 +110,9 @@ __all__ = [
     "RunError",
     "RunSpec",
     "Runner",
-    "ShardFailure",
     "ShardMergeConflict",
     "ShardRun",
     "ShardSpec",
-    "ShardSweepReport",
     "SimTimeoutError",
     "SweepSpec",
     "Tolerance",
@@ -131,7 +129,6 @@ __all__ = [
     "pin_baseline",
     "snapshot_cells",
     "reference_diff",
-    "run_all_shards",
     "run_shard",
     "shard_root",
     "spec_identity",

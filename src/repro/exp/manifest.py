@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,9 +33,7 @@ class ManifestEntry:
     ``shard`` records which hash-range slice of a sweep executed the
     row (the ``"i/N"`` spelling of a
     :class:`~repro.exp.spec.ShardSpec`); unsharded runs leave it
-    ``None``.  The shard orchestrator relays private shard-manifest
-    rows into the shared manifest as they appear, so the column is how
-    a merged manifest stays attributable.
+    ``None``.
     """
 
     key: str
@@ -68,59 +65,6 @@ class Manifest:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as handle:
             handle.write(entry.to_json() + "\n")
-
-    def record_raw(self, line: str) -> None:
-        """Append one already-serialized row verbatim.
-
-        The shard orchestrator relays rows from private shard
-        manifests into the shared one; copying the line (rather than
-        parsing and re-serializing) keeps relayed rows byte-identical
-        to what the shard wrote.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(line.rstrip("\n") + "\n")
-
-    def tail(self, offset: int = 0) -> Tuple[List[str], int]:
-        """Complete, well-formed lines appended since byte ``offset``.
-
-        Returns ``(lines, new_offset)``; a trailing partial line (a
-        writer mid-``write``, or one killed mid-line) is left for the
-        next call rather than returned truncated.  This is the
-        streaming half of :meth:`record_raw`: the orchestrator polls
-        each shard's manifest with its last offset to relay progress
-        while shards are still running.
-
-        A *torn* line — a SIGKILLed shard's partial row that a
-        relaunched shard then appended a fresh row after, gluing the
-        fragment to the next newline-terminated write — does not parse
-        as JSON.  Such lines are skipped with a warning instead of
-        being relayed (and later raised on) downstream; the valid rows
-        around them still flow.
-        """
-        if not self.path.exists():
-            return [], offset
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            blob = handle.read()
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        lines = []
-        for line in blob[:end].decode(errors="replace").split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                json.loads(line)
-            except json.JSONDecodeError:
-                warnings.warn(
-                    f"manifest {self.path}: skipping torn row "
-                    f"{line[:60]!r}... (a writer was killed mid-line)",
-                    RuntimeWarning, stacklevel=2)
-                continue
-            lines.append(line)
-        return lines, offset + end + 1
 
     def read(self) -> List[ManifestEntry]:
         """All rows recorded so far (empty if the file doesn't exist).

@@ -72,16 +72,6 @@ class RunError(RuntimeError):
 _TRACE_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _TRACE_MEMO_MAX = 32
 
-#: Per-process memo tallies.  The sweep service reads these through
-#: :func:`trace_memo_stats` to report how warm each long-lived worker
-#: actually is (a cold worker regenerates traces; a warm one reuses).
-_TRACE_MEMO_STATS = {"hits": 0, "misses": 0}
-
-
-def trace_memo_stats() -> Dict[str, int]:
-    """Snapshot of this process's trace-memo hit/miss counters."""
-    return dict(_TRACE_MEMO_STATS)
-
 
 def _workload_traces(spec: RunSpec, l1i_blocks: int) -> Tuple[str, list]:
     """``(workload_name, traces)`` for a spec, memoized per process.
@@ -99,9 +89,7 @@ def _workload_traces(spec: RunSpec, l1i_blocks: int) -> Tuple[str, list]:
     memo = _TRACE_MEMO.get(key)
     if memo is not None:
         _TRACE_MEMO.move_to_end(key)
-        _TRACE_MEMO_STATS["hits"] += 1
         return memo
-    _TRACE_MEMO_STATS["misses"] += 1
     workload = make_workload(spec.workload, l1i_blocks, spec.seed)
     if spec.mode == "mix":
         traces = workload.generate_mix(spec.transactions, seed=mix_seed)
@@ -174,10 +162,12 @@ def _worker_run(spec: RunSpec, timeout: Optional[float]):
 
     The alarm is armed only when the platform has ``SIGALRM`` *and*
     this is the process's main thread: signal handlers can only be
-    installed there, and the sweep service runs cells inline on a
-    worker's executor thread.  When a timeout is requested but cannot
-    be armed, the run falls back to no-timeout with a one-time
-    warning instead of crashing on ``signal.signal``.
+    installed there.  Pool workers and the runner's serial path (the
+    CLI, the sweep service's supervisor) run cells on a main thread;
+    a library caller that drives a :class:`Runner` from another thread
+    does not.  When a timeout is requested but cannot be armed, the
+    run falls back to no-timeout with a one-time warning instead of
+    crashing on ``signal.signal``.
     """
     global _TIMEOUT_UNARMED_WARNED
     start = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Cross-process sweep sharding: partition, run, relay, merge.
+"""Cross-process sweep sharding: partition, run, merge.
 
 The :class:`~repro.exp.runner.Runner` parallelizes within one process
 pool; this module scales a sweep *across* processes and machines.  The
@@ -6,21 +6,18 @@ design has one load-bearing idea: a sweep is partitioned by hash-range
 of its content-addressed cache keys (see
 :class:`~repro.exp.spec.ShardSpec`), so every executor derives the
 same partition independently and the cache directory is the only merge
-point.  Three layers build on it:
+point.  Two layers build on it:
 
 * :func:`run_shard` — execute one shard of a spec list into a
   *private* cache/manifest directory (what ``repro shard --shard i/N``
-  runs, on this machine or any other);
+  runs, on this machine or any other, e.g. one CI matrix job each);
 * :func:`merge_caches` — union shard caches into a destination cache
   by copying entry bytes verbatim, refusing loudly on a conflict
   (same key, different payload ⇒ :class:`ShardMergeConflict` citing
-  both copies) — never last-writer-wins;
-* :func:`run_all_shards` — a local orchestrator
-  (``repro shard --all``) that launches one subprocess per shard,
-  streams each shard's manifest rows into the shared manifest as they
-  appear, relaunches a crashed shard with *only its missing keys*
-  (the private cache preserves completed cells across the crash), and
-  merges everything at the end.
+  both copies) — never last-writer-wins.
+
+A local grid needs neither: ``repro sweep --jobs N`` runs it in
+parallel into the shared cache directly.
 
 Determinism makes the merge safe: the simulator is a pure function of
 the spec, serialization is canonical, so two shards can only disagree
@@ -31,18 +28,13 @@ condition a conflict error should surface instead of papering over.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import multiprocessing.connection
-import time
-import uuid
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.exp.cache import ResultCache, spec_key
-from repro.exp.manifest import Manifest, ManifestEntry
+from repro.exp.manifest import Manifest
 from repro.exp.runner import Runner
 from repro.exp.spec import RunSpec, ShardSpec, SweepSpec
 
@@ -73,10 +65,6 @@ class ShardMergeConflict(RuntimeError):
         self.key = key
         self.ours = Path(ours)
         self.theirs = Path(theirs)
-
-
-class ShardFailure(RuntimeError):
-    """A shard subprocess could not be driven to completion."""
 
 
 def shard_root(cache_dir: Union[Path, str], shard: ShardSpec) -> Path:
@@ -277,244 +265,3 @@ def run_shard(specs: Union[SweepSpec, Sequence[RunSpec]],
     return ShardRun(shard=shard, root=root, results=results,
                     hits=runner.hits, misses=runner.misses,
                     skipped=runner.skipped)
-
-
-# ---------------------------------------------------------------------
-# Local multi-process orchestrator
-# ---------------------------------------------------------------------
-
-def _shard_entry(specs: List[RunSpec], shard: ShardSpec, root: str,
-                 jobs: int, timeout: Optional[float],
-                 retries: int) -> None:
-    """Subprocess entry point: run one shard's pending specs."""
-    run_shard(specs, shard, root, jobs=jobs, timeout=timeout,
-              retries=retries)
-
-
-@dataclass
-class ShardSweepReport:
-    """Outcome of :func:`run_all_shards`.
-
-    Attributes:
-        specs: the expanded sweep, in deterministic order.
-        keys: cache keys aligned with ``specs``.
-        results: results aligned with ``specs`` (read back from the
-            merged cache, so they are exactly what any later run will
-            be served).
-        count: how many shards the sweep was split into.
-        launches: shard index → subprocess launches (>1 means the
-            shard crashed and was relaunched on its missing keys).
-        precached: cells already present in the shared cache that no
-            shard had to touch.
-        merge: the final :class:`MergeReport`.
-    """
-
-    specs: List[RunSpec]
-    keys: List[str]
-    results: List[object]
-    count: int
-    launches: Dict[int, int] = field(default_factory=dict)
-    precached: int = 0
-    merge: MergeReport = field(default_factory=MergeReport)
-
-    @property
-    def executed(self) -> int:
-        return len(self.specs) - self.precached
-
-    def describe(self) -> str:
-        relaunched = sum(1 for n in self.launches.values() if n > 1)
-        return (f"{len(self.specs)} cells over {self.count} shard(s): "
-                f"{self.precached} pre-cached, {self.executed} ran in "
-                f"{sum(self.launches.values())} shard launch(es) "
-                f"({relaunched} shard(s) relaunched after a crash); "
-                + self.merge.describe())
-
-
-def run_all_shards(specs: Union[SweepSpec, Sequence[RunSpec]],
-                   cache_dir: Union[Path, str],
-                   count: int = 2,
-                   procs: Optional[int] = None,
-                   jobs: int = 1,
-                   timeout: Optional[float] = None,
-                   retries: int = 2,
-                   relaunches: int = 2,
-                   poll_interval: float = 0.05,
-                   mp_context=None) -> ShardSweepReport:
-    """Run a whole sweep as ``count`` shard subprocesses and merge.
-
-    At most ``procs`` shards run concurrently (default: ``count``),
-    each into its private directory under ``<cache_dir>/shards/``.
-    While they run, their manifest rows are relayed into the shared
-    ``<cache_dir>/manifest.jsonl`` (the ``shard`` column says who did
-    what).  The orchestrator waits on the subprocess *sentinels* (with
-    ``poll_interval`` as an upper bound so relaying keeps streaming),
-    so an exit is noticed immediately rather than on the next poll
-    tick.  A shard whose process exits with owned cells still missing
-    from its private cache — a crash, a kill, an unhandled error, or
-    even a *clean exit 0* that silently skipped work — is relaunched
-    with *only the missing specs*, up to ``relaunches`` extra times;
-    completed cells are never recomputed because they survive in the
-    private cache.  Exit status is never trusted as a success signal:
-    owned-key completeness is verified on every exit.  When every shard is complete the
-    private caches are merged into ``cache_dir`` (conflicts are hard
-    errors) and results are read back from the merged cache.
-
-    Cells already present in the shared cache are never assigned to a
-    shard at all, so a warm rerun launches nothing.
-    """
-    with obs.span(
-        "shard.orchestrate", cache_dir=str(cache_dir), shards=count
-    ) as span:
-        report = _run_all_shards(
-            specs, cache_dir, count, procs, jobs, timeout, retries,
-            relaunches, poll_interval, mp_context)
-        if span.armed:
-            relaunched = sum(
-                n - 1 for n in report.launches.values() if n > 1)
-            span.add("cells", len(report.specs))
-            span.add("precached", report.precached)
-            span.add("launches", sum(report.launches.values()))
-            span.add("relaunches", relaunched)
-            tracer = obs.tracer()
-            if tracer is not None:
-                tracer.metrics.inc(
-                    "exp.shard.launches",
-                    sum(report.launches.values()))
-                tracer.metrics.inc(
-                    "exp.shard.relaunches", relaunched)
-                tracer.flush_metrics()
-    return report
-
-
-def _run_all_shards(specs, cache_dir, count, procs, jobs, timeout,
-                    retries, relaunches, poll_interval,
-                    mp_context) -> ShardSweepReport:
-    if isinstance(specs, SweepSpec):
-        specs = specs.expand()
-    specs = list(specs)
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if relaunches < 0:
-        raise ValueError("relaunches must be >= 0")
-    procs = count if procs is None else max(1, int(procs))
-    cache_dir = Path(cache_dir)
-    dest = ResultCache(cache_dir)
-    shared_manifest = Manifest(cache_dir / "manifest.jsonl")
-    context = mp_context
-    if context is None:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-
-    keys, by_shard = partition(specs, count)
-    shards = {i: ShardSpec(i, count) for i in range(count)}
-    roots = {i: shard_root(cache_dir, shards[i]) for i in range(count)}
-    caches = {i: ResultCache(roots[i]) for i in range(count)}
-
-    # Cells the shared cache already holds are settled; record them as
-    # hits (attributed to their owning shard) and never ship them out.
-    sweep_id = uuid.uuid4().hex[:12]
-    precached = 0
-    todo_by_shard: Dict[int, List[int]] = {i: [] for i in range(count)}
-    for shard_index, indices in by_shard.items():
-        for idx in indices:
-            if dest.get(keys[idx]) is not None:
-                precached += 1
-                shared_manifest.record(ManifestEntry(
-                    key=keys[idx], spec=specs[idx].to_dict(), hit=True,
-                    wall_s=0.0, worker=None, attempts=0,
-                    ts=round(time.time(), 3), sweep=sweep_id,
-                    shard=str(shards[shard_index])))
-            else:
-                todo_by_shard[shard_index].append(idx)
-
-    launches = {i: 0 for i in range(count) if todo_by_shard[i]}
-    offsets: Dict[int, int] = {i: 0 for i in launches}
-
-    def missing_specs(shard_index: int) -> List[RunSpec]:
-        return [specs[idx] for idx in todo_by_shard[shard_index]
-                if caches[shard_index].get(keys[idx]) is None]
-
-    def relay(shard_index: int) -> None:
-        lines, offsets[shard_index] = Manifest(
-            roots[shard_index] / "manifest.jsonl"
-        ).tail(offsets[shard_index])
-        for line in lines:
-            shared_manifest.record_raw(line)
-
-    queue = deque(sorted(launches))
-    running: Dict[int, multiprocessing.process.BaseProcess] = {}
-    try:
-        while queue or running:
-            while queue and len(running) < procs:
-                shard_index = queue.popleft()
-                pending = missing_specs(shard_index)
-                if not pending:
-                    continue
-                launches[shard_index] += 1
-                process = context.Process(
-                    target=_shard_entry,
-                    args=(pending, shards[shard_index],
-                          str(roots[shard_index]), jobs, timeout,
-                          retries),
-                )
-                process.start()
-                running[shard_index] = process
-            if not running:
-                continue
-            # Block on the running processes' sentinels instead of a
-            # fixed sleep: the loop wakes the instant any shard exits,
-            # while the bounded timeout keeps manifest rows streaming
-            # into the shared manifest for long-running shards.
-            multiprocessing.connection.wait(
-                [process.sentinel for process in running.values()],
-                timeout=poll_interval)
-            for shard_index, process in list(running.items()):
-                relay(shard_index)
-                if process.is_alive():
-                    continue
-                process.join()
-                del running[shard_index]
-                relay(shard_index)
-                # Exit status alone proves nothing: a shard that exits
-                # 0 with owned keys absent from its private cache (an
-                # early sys.exit, a swallowed error) is as incomplete
-                # as a crash.  Completeness of the owned key set is the
-                # only success criterion; anything else relaunches on
-                # the missing set or fails citing how the shard exited.
-                still_missing = missing_specs(shard_index)
-                if not still_missing:
-                    continue
-                if launches[shard_index] > relaunches:
-                    exited = (
-                        "cleanly (exit code 0)"
-                        if process.exitcode == 0
-                        else f"with code {process.exitcode}"
-                    )
-                    raise ShardFailure(
-                        f"shard {shards[shard_index]} exited {exited} "
-                        f"but left {len(still_missing)} owned cell(s) "
-                        f"missing after {launches[shard_index]} "
-                        f"launch(es); inspect {roots[shard_index]}"
-                    )
-                queue.append(shard_index)
-    finally:
-        for process in running.values():
-            process.terminate()
-        for process in running.values():
-            process.join()
-
-    merge = merge_caches(
-        dest, [roots[i] for i in sorted(launches)])
-    results: List[object] = []
-    for spec, key in zip(specs, keys):
-        result = dest.get(key)
-        if result is None:  # pragma: no cover - defensive
-            raise ShardFailure(
-                f"cell {spec.describe()} (key {key}) is missing from "
-                f"the merged cache at {cache_dir}"
-            )
-        results.append(result)
-    return ShardSweepReport(specs=specs, keys=keys, results=results,
-                            count=count, launches=launches,
-                            precached=precached, merge=merge)

@@ -1,21 +1,18 @@
-"""repro.svc — persistent sweep service with warm workers.
+"""repro.svc — a persistent sweep service: a file queue in front of
+the experiment runner.
 
-Every ad-hoc ``repro sweep`` pays full cold start: fork-per-cell
-workers rebuild workload traces and their run tables, discarding
-exactly the warm state the runner's trace memo exists to keep.  This
-package keeps that state alive: a supervisor
-(:mod:`repro.svc.supervisor`) plus N long-lived worker processes
-(:mod:`repro.svc.worker`) serve jobs from a bounded, priority-aware,
-file-backed queue (:mod:`repro.svc.queue`), with a file-protocol
-client (:mod:`repro.svc.client`) behind
-``repro serve`` / ``repro submit`` / ``repro status``.
+``repro submit`` puts a grid as one durable job on a bounded,
+priority-aware, file-backed queue (:mod:`repro.svc.queue`), even
+before any service runs.  ``repro serve`` starts a supervisor
+(:mod:`repro.svc.supervisor`) that claims jobs one at a time and runs
+each through :class:`~repro.exp.runner.Runner` with ``--workers`` pool
+processes.  ``repro status`` and ``submit --wait`` read the job
+records through the file-protocol client (:mod:`repro.svc.client`).
 
-The contract that makes the service safe to adopt: results flow
-through the *same* ``ResultCache``/``Manifest`` write paths as a solo
-runner, so a grid served by ``repro submit`` is byte-identical to the
-same grid run by ``repro sweep`` (asserted by differential test), and
-the service directory lives under ``<cache>/svc/`` where the cache's
-two-level entry glob cannot see it.
+A served grid runs the code ``repro sweep`` runs, so its cache entries
+are byte-identical to a solo run's (asserted by differential test),
+and the service directory lives under ``<cache>/svc/`` where the
+cache's two-level entry glob cannot see it.
 """
 
 from repro.svc.client import (
@@ -33,13 +30,7 @@ from repro.svc.queue import (
     JobQueue,
     QueueFull,
 )
-from repro.svc.supervisor import (
-    DEFAULT_WORKERS,
-    Supervisor,
-    affinity_identity,
-    route,
-)
-from repro.svc.worker import Worker, worker_main
+from repro.svc.supervisor import DEFAULT_WORKERS, Supervisor
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -49,14 +40,10 @@ __all__ = [
     "JobQueue",
     "QueueFull",
     "Supervisor",
-    "Worker",
-    "affinity_identity",
     "format_status",
     "read_job",
-    "route",
     "service_status",
     "submit_job",
     "svc_root_for",
     "wait_job",
-    "worker_main",
 ]

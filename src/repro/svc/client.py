@@ -6,8 +6,8 @@ Submitting writes the durable job record (state ``queued``) *before*
 enqueueing the pointer file, so however the two writes interleave
 with a racing supervisor the record can only move forward
 (queued → running → done/failed); waiting polls the record; status is
-assembled read-only from the queue directory, the job records, the
-worker heartbeats, and the supervisor state file.
+assembled read-only from the queue directory, the job records and the
+supervisor state file.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from repro.svc.queue import (
     JobQueue,
     _atomic_write_json,
 )
-from repro.svc.supervisor import (
-    _pid_alive,
-    read_heartbeat,
-    read_state,
-    svc_root_for,
-)
+from repro.svc.supervisor import _pid_alive, read_state, svc_root_for
 
 
 class JobFailed(RuntimeError):
@@ -133,8 +128,8 @@ def service_status(svc_root: Union[Path, str]) -> dict:
     the state file's pid).  The shape is the ``repro status --json``
     contract::
 
-        {"supervisor": {...}, "queue": {...}, "workers": [...],
-         "jobs": {...}, "warm": {...}}
+        {"supervisor": {...}, "queue": {...}, "jobs": {...},
+         "job_list": [...], "warm": {...}}
     """
     svc_root = Path(svc_root)
     state = read_state(svc_root)
@@ -142,29 +137,6 @@ def service_status(svc_root: Union[Path, str]) -> dict:
                  and state.get("pid") is not None
                  and _pid_alive(int(state["pid"])))
     queue = JobQueue(svc_root / "queue")
-    worker_count = int(state["workers"]) if state else 0
-    restarts = {int(i): int(n)
-                for i, n in (state or {}).get("restarts", {}).items()}
-    workers = []
-    for index in range(worker_count):
-        beat = read_heartbeat(svc_root, index) or {}
-        ts = beat.get("ts")
-        workers.append({
-            "index": index,
-            "alive": bool(beat and beat.get("state") != "stopped"
-                          and _pid_alive(int(beat.get("pid", 0) or 0))),
-            "state": beat.get("state", "unknown"),
-            "heartbeat_age_s": (round(max(0.0, time.time() - ts), 3)
-                                if ts is not None else None),
-            "restarts": restarts.get(index, 0),
-            "cells": beat.get("cells", 0),
-            "cache_hits": beat.get("cache_hits", 0),
-            "executed": beat.get("executed", 0),
-            "failures": beat.get("failures", 0),
-            "warm_hits": beat.get("warm_hits", 0),
-            "trace_memo_hits": beat.get("trace_memo_hits", 0),
-            "trace_memo_misses": beat.get("trace_memo_misses", 0),
-        })
     jobs = {"queued": 0, "running": 0, "done": 0, "failed": 0}
     job_rows = []
     jobs_dir = svc_root / "jobs"
@@ -182,12 +154,12 @@ def service_status(svc_root: Union[Path, str]) -> dict:
                 "state": job_state,
                 "priority": record.get("priority"),
                 "submitted_s": record.get("submitted_s"),
-                "cells": len(record.get("cells", {})),
+                "cells": len(record.get("cells") or
+                             record.get("specs") or ()),
                 "done": record.get("done"),
                 "failed": record.get("failed"),
                 "cache_hits": record.get("cache_hits"),
                 "executed": record.get("executed"),
-                "warm_hits": record.get("warm_hits"),
                 "warm_rate": record.get("warm_rate"),
                 "queue_wait_s": record.get("queue_wait_s"),
                 "wall_s": record.get("wall_s"),
@@ -195,27 +167,25 @@ def service_status(svc_root: Union[Path, str]) -> dict:
     job_rows.sort(key=lambda row: row.get("submitted_s") or 0.0)
     finished = [row for row in job_rows
                 if row["state"] in ("done", "failed")]
-    warm_hits = sum(row.get("warm_hits") or 0 for row in finished)
-    warm_cells = sum(row.get("cells") or 0 for row in finished)
+    hits = sum(row.get("cache_hits") or 0 for row in finished)
+    cells = sum(row.get("cells") or 0 for row in finished)
     return {
         "svc_root": str(svc_root),
         "supervisor": {
             "alive": alive,
             "pid": state.get("pid") if state else None,
             "state": (state.get("state") if state else "absent"),
-            "workers": worker_count,
+            "workers": int(state["workers"]) if state else 0,
             "cache_dir": state.get("cache_dir") if state else None,
         },
         "queue": {"pending": queue.depth(),
                   "capacity": queue.capacity},
         "jobs": jobs,
         "job_list": job_rows,
-        "workers": workers,
         "warm": {
-            "warm_hits": warm_hits,
-            "cells": warm_cells,
-            "rate": (round(warm_hits / warm_cells, 6)
-                     if warm_cells else None),
+            "cache_hits": hits,
+            "cells": cells,
+            "rate": round(hits / cells, 6) if cells else None,
         },
     }
 
@@ -238,24 +208,13 @@ def format_status(status: dict) -> str:
     warm = status["warm"]
     if warm["cells"]:
         lines.append(
-            f"  warm: {warm['warm_hits']}/{warm['cells']} cells "
+            f"  warm: {warm['cache_hits']}/{warm['cells']} cells "
             f"({100.0 * warm['rate']:.1f}%) across finished jobs")
-    for worker in status["workers"]:
-        age = worker["heartbeat_age_s"]
-        beat = f" (beat {age:.1f}s ago)" if age is not None else ""
-        lines.append(
-            f"  worker {worker['index']}: {worker['state']}{beat}")
-        lines.append(
-            f"    cells={worker['cells']} hits={worker['cache_hits']} "
-            f"executed={worker['executed']} warm={worker['warm_hits']} "
-            f"memo={worker['trace_memo_hits']}/"
-            f"{worker['trace_memo_hits'] + worker['trace_memo_misses']} "
-            f"restarts={worker['restarts']}")
     for row in status["job_list"][-8:]:
         label = f"  job {row['id']}: {row['state']}"
         if row["state"] in ("done", "failed"):
             label += (f" ({row['cells']} cells, "
-                      f"{row.get('warm_hits') or 0} warm, "
+                      f"{row.get('cache_hits') or 0} cache hit(s), "
                       f"wall {row.get('wall_s') or 0:.3f}s)")
         lines.append(label)
     return "\n".join(lines)

@@ -308,9 +308,10 @@ class TestManifestDiff:
     def test_unparseable_spec_row_is_skipped_with_warning(self, tmp_path):
         run_into(tmp_path / "a")
         manifest = Manifest(tmp_path / "a" / "manifest.jsonl")
-        manifest.record_raw(json.dumps({
-            "key": "0" * 64, "spec": {"workload": "dropped-workload"},
-            "hit": False, "wall_s": 0.0}))
+        with open(manifest.path, "a") as handle:
+            handle.write(json.dumps({
+                "key": "0" * 64, "spec": {"workload": "dropped-workload"},
+                "hit": False, "wall_s": 0.0}) + "\n")
         with pytest.warns(RuntimeWarning, match="no longer parses"):
             cells = manifest_cells(manifest)
         assert len(cells) == 2

@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import multiprocessing
-
 import pytest
 
 from repro.__main__ import (
@@ -11,10 +9,6 @@ from repro.__main__ import (
     main,
     run_single,
 )
-
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the shard orchestrator test relies on cheap fork startup")
 
 
 class TestParser:
@@ -156,7 +150,7 @@ class TestShardSubcommand:
 
     def test_requires_a_mode(self):
         with pytest.raises(SystemExit):
-            build_shard_parser().parse_args(["--shards", "2"])
+            build_shard_parser().parse_args([])
 
     def test_manual_shard_then_merge_flow(self, capsys, tmp_path):
         """The two-terminal workflow: run each shard, merge, and the
@@ -179,18 +173,3 @@ class TestShardSubcommand:
         assert main(["sweep", "--cache-dir", str(shared)] +
                     self.GRID) == 0
         assert "4 cache hits, 0 executed" in capsys.readouterr().out
-
-    @needs_fork
-    def test_all_orchestrates_and_is_warm_on_rerun(self, capsys,
-                                                   tmp_path):
-        argv = ["shard", "--all", "--shards", "2", "--procs", "2",
-                "--cache-dir", str(tmp_path)] + self.GRID
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "4 cells over 2 shard(s): 0 pre-cached" in out
-        assert "merged cache:" in out
-        # Everything is already in the shared cache: no launches.
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "4 pre-cached" in out
-        assert "0 shard launch(es)" in out

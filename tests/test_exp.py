@@ -202,39 +202,20 @@ class TestManifest:
             handle.write('{"key": "torn')
         assert len(Manifest(path).read()) == 1
 
-    def test_tail_streams_and_holds_back_partial_line(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = Manifest(path)
+        # A writer killed mid-row, then a fresh append: the fragment is
+        # glued to the next row and the glued line is skipped, while
+        # the rows around it still read back.
+        glued = tmp_path / "glued.jsonl"
+        manifest = Manifest(glued)
         manifest.record(ManifestEntry(key="k1", spec={}, hit=False,
                                       wall_s=0.1))
-        lines, offset = manifest.tail(0)
-        assert len(lines) == 1
-        with open(path, "a") as handle:
-            handle.write('{"key": "mid-write')
-        assert manifest.tail(offset) == ([], offset)
-
-    def test_tail_skips_torn_row_glued_by_a_relaunched_shard(
-            self, tmp_path):
-        """A SIGKILLed shard leaves a partial row; its relaunch then
-        appends a fresh row, gluing the fragment to the next newline.
-        The glued garbage must be skipped with a warning — not
-        relayed into the shared manifest, where reading it back would
-        raise."""
-        path = tmp_path / "m.jsonl"
-        manifest = Manifest(path)
-        manifest.record(ManifestEntry(key="k1", spec={}, hit=False,
-                                      wall_s=0.1))
-        with open(path, "a") as handle:
+        with open(glued, "a") as handle:
             handle.write('{"key": "killed-mid-')  # no newline
         manifest.record(ManifestEntry(key="k2", spec={}, hit=False,
                                       wall_s=0.2))
-        with pytest.warns(RuntimeWarning, match="torn row"):
-            lines, offset = manifest.tail(0)
-        assert [json.loads(line)["key"] for line in lines] == ["k1"]
         manifest.record(ManifestEntry(key="k3", spec={}, hit=True,
                                       wall_s=0.0))
-        more, _ = manifest.tail(offset)
-        assert [json.loads(line)["key"] for line in more] == ["k3"]
+        assert [entry.key for entry in manifest.read()] == ["k1", "k3"]
 
 
 class TestRunner:

@@ -33,12 +33,9 @@ from repro.exp import (
     RunError,
     RunSpec,
     Runner,
-    ShardFailure,
     SimTimeoutError,
     code_fingerprint,
     execute_spec,
-    partition,
-    run_all_shards,
     spec_key,
 )
 
@@ -242,8 +239,9 @@ class TestThreadedTimeout:
     """A timed cell run off the main thread must not die arming
     SIGALRM (``signal.signal`` raises ``ValueError`` anywhere but the
     main thread): it falls back to no-timeout with one warning per
-    process.  This is the sweep service's execution model — a worker
-    runs cells inline on its executor thread."""
+    process.  Pool workers and the serial path (the CLI, the sweep
+    service's supervisor) run on a main thread; this covers a library
+    caller that drives a runner from its own thread."""
 
     @pytest.fixture(autouse=True)
     def _fresh_warning_state(self, monkeypatch):
@@ -289,8 +287,8 @@ class TestThreadedTimeout:
         assert counts == [1, 0]
 
     def test_runner_with_timeout_completes_on_a_thread(self):
-        """The full in-process Runner path (what a service worker
-        drives) survives a timeout request off the main thread."""
+        """The full in-process Runner path survives a timeout request
+        off the main thread."""
         spec = tiny_spec()
         expected = execute_spec(spec)
         box = {}
@@ -319,184 +317,110 @@ class TestThreadedTimeout:
 
 
 # ---------------------------------------------------------------------
-# Shard-orchestrator fault injection
+# Worker deaths in a multi-cell pool
 # ---------------------------------------------------------------------
 
-def _sigkill_own_process_on(marker_path, victim_seed):
+def _die_on(marker_path, victim_seed, die):
     """An ``execute_spec`` stand-in: the first process to reach the
-    spec with ``victim_seed`` (marker claimed with O_EXCL) SIGKILLs
-    itself mid-run — the hardest crash a shard subprocess can have."""
+    spec with ``victim_seed`` (marker claimed with O_EXCL) calls
+    ``die()`` mid-run instead of doing the work."""
     real = execute_spec
 
-    def killing(spec):
+    def dying(spec):
         if spec.seed == victim_seed:
             try:
                 fd = os.open(marker_path, os.O_CREAT | os.O_EXCL)
             except FileExistsError:
                 return real(spec)
             os.close(fd)
-            os.kill(os.getpid(), signal.SIGKILL)
+            die()
         return real(spec)
 
-    return killing
+    return dying
 
 
-def _exit_zero_on(marker_path, victim_seed):
-    """An ``execute_spec`` stand-in: the first process to reach the
-    spec with ``victim_seed`` (marker claimed with O_EXCL) exits 0
-    *without doing the work* — the lying clean exit the orchestrator
-    must refuse to trust."""
-    real = execute_spec
+def _sigkill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
 
-    def quitting(spec):
-        if spec.seed == victim_seed:
-            try:
-                fd = os.open(marker_path, os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                return real(spec)
-            os.close(fd)
-            os._exit(0)
-        return real(spec)
 
-    return quitting
+def _exit_zero():
+    os._exit(0)
 
 
 @needs_fork
-class TestShardOrchestratorFaults:
-    """A SIGKILLed shard is detected, relaunched on only its missing
-    keys, and the merged cache still equals a clean run's."""
+class TestPoolWorkerDeaths:
+    """A pool worker that dies mid-cell — SIGKILLed, or a lying clean
+    ``exit 0`` — breaks the pool; the runner starts a new one, retries
+    the lost cells, and leaves a cache byte-identical to a clean run's
+    with every cell executed once."""
 
-    SHARDS = 3
+    JOBS = 3
 
-    def _specs_and_victim(self):
-        """Eight tiny cells plus the victim: the last cell (in spec
-        order) of the fullest shard, so its shard has completed cells
-        on disk when it dies.  Derived from the live partition rather
-        than pinned, so code edits can't silently move the victim to a
-        singleton shard."""
+    def _specs(self):
+        """Eight tiny cells; the victim is the last, so cells before it
+        have completed or are in flight when its worker dies."""
         specs = [tiny_spec(seed=seed) for seed in range(1, 9)]
-        _, by_shard = partition(specs, self.SHARDS)
-        victim_shard = max(by_shard, key=lambda i: len(by_shard[i]))
-        assert len(by_shard[victim_shard]) >= 2
-        victim = specs[by_shard[victim_shard][-1]]
-        return specs, victim_shard, victim
+        return specs, specs[-1]
 
-    def test_killed_shard_is_recovered_without_recompute(
-            self, tmp_path, monkeypatch):
-        specs, victim_shard, victim = self._specs_and_victim()
-        keys = [spec_key(spec) for spec in specs]
-
+    def _assert_clean(self, tmp_path, specs, faulted_root, results):
         clean_root = tmp_path / "clean"
         clean = Runner(cache=ResultCache(clean_root)).run(specs)
+        assert results == clean
+        clean_cache = ResultCache(clean_root)
+        faulted = ResultCache(faulted_root)
+        keys = [spec_key(spec) for spec in specs]
+        assert sorted(faulted.keys()) == sorted(keys)
+        for key in keys:
+            assert faulted.read_bytes(key) == clean_cache.read_bytes(key)
+        # The dead attempt never completed, so every key has exactly
+        # one executed manifest row.
+        rows = Manifest(faulted_root / "manifest.jsonl").read()
+        assert sorted(row.key for row in rows if not row.hit) == \
+            sorted(keys)
 
+    @pytest.mark.parametrize("die", [_sigkill_self, _exit_zero],
+                             ids=["sigkill", "exit0"])
+    def test_dead_worker_is_retried_without_recompute(
+            self, tmp_path, monkeypatch, die):
+        specs, victim = self._specs()
         monkeypatch.setattr(
             runner_mod, "execute_spec",
-            _sigkill_own_process_on(str(tmp_path / "killed"),
-                                    victim.seed))
-        sharded_root = tmp_path / "sharded"
-        report = run_all_shards(specs, cache_dir=sharded_root,
-                                count=self.SHARDS)
-        assert os.path.exists(tmp_path / "killed")
+            _die_on(str(tmp_path / "died"), victim.seed, die))
+        root = tmp_path / "faulted"
+        runner = Runner(jobs=self.JOBS, cache=ResultCache(root))
+        results = runner.run(specs)
+        assert os.path.exists(tmp_path / "died")
+        victim_rows = [e for e in runner.entries
+                       if e.key == spec_key(victim)]
+        assert [e.attempts for e in victim_rows] == [2]
+        self._assert_clean(tmp_path, specs, root, results)
 
-        # The killed shard took exactly one extra launch; no other
-        # shard was disturbed.
-        assert report.launches[victim_shard] == 2
-        assert all(n == 1 for i, n in report.launches.items()
-                   if i != victim_shard)
-
-        # Merged cache is byte-identical to the clean run's.
-        clean_cache = ResultCache(clean_root)
-        merged_cache = ResultCache(sharded_root)
-        assert sorted(merged_cache.keys()) == sorted(keys)
-        for key in keys:
-            assert merged_cache.read_bytes(key) == \
-                clean_cache.read_bytes(key)
-        assert report.results == clean
-
-        # Completed cells were never recomputed: across the whole
-        # orchestration every cell executed exactly once — including
-        # the victim, whose killed first attempt never completed.
-        rows = Manifest(sharded_root / "manifest.jsonl").read()
-        executed = [row.key for row in rows if not row.hit]
-        assert sorted(executed) == sorted(keys)
-        assert not any(row.hit for row in rows)
-
-    def test_repeatedly_killed_shard_is_a_hard_failure(
-            self, tmp_path, monkeypatch):
-        """A shard that dies on every launch exhausts its relaunch
-        budget and surfaces as ShardFailure, not a silent hole."""
-        specs, _, victim = self._specs_and_victim()
+    @pytest.mark.parametrize("die", [_sigkill_self, _exit_zero],
+                             ids=["sigkill", "exit0"])
+    def test_repeated_deaths_raise_runerror(self, tmp_path, monkeypatch,
+                                            die):
+        """A cell whose worker dies on every attempt exhausts the retry
+        budget and surfaces as RunError naming it, not a silent hole;
+        whatever did reach the cache is still a clean run's bytes."""
+        specs, victim = self._specs()
+        clean = ResultCache(tmp_path / "clean")
+        Runner(cache=clean).run(specs)
 
         def always_dies(spec):
             if spec.seed == victim.seed:
-                os.kill(os.getpid(), signal.SIGKILL)
+                die()
             return execute_spec(spec)
 
         monkeypatch.setattr(runner_mod, "execute_spec", always_dies)
-        with pytest.raises(ShardFailure,
-                           match=r"owned cell\(s\) missing"):
-            run_all_shards(specs, cache_dir=tmp_path / "sharded",
-                           count=self.SHARDS, relaunches=1)
-
-    def test_clean_exit_with_missing_cells_is_relaunched(
-            self, tmp_path, monkeypatch):
-        """Exit status is never trusted: a shard that exits 0 with
-        owned cells absent from its private cache (an early
-        ``sys.exit``, a swallowed error) is relaunched on the missing
-        set exactly like a crash, and the merged cache still equals a
-        clean run's byte-for-byte."""
-        specs, victim_shard, victim = self._specs_and_victim()
-        keys = [spec_key(spec) for spec in specs]
-
-        clean_root = tmp_path / "clean"
-        clean = Runner(cache=ResultCache(clean_root)).run(specs)
-
-        monkeypatch.setattr(
-            runner_mod, "execute_spec",
-            _exit_zero_on(str(tmp_path / "quit"), victim.seed))
-        sharded_root = tmp_path / "sharded"
-        report = run_all_shards(specs, cache_dir=sharded_root,
-                                count=self.SHARDS)
-        assert os.path.exists(tmp_path / "quit")
-
-        assert report.launches[victim_shard] == 2
-        assert all(n == 1 for i, n in report.launches.items()
-                   if i != victim_shard)
-
-        clean_cache = ResultCache(clean_root)
-        merged_cache = ResultCache(sharded_root)
-        assert sorted(merged_cache.keys()) == sorted(keys)
-        for key in keys:
-            assert merged_cache.read_bytes(key) == \
-                clean_cache.read_bytes(key)
-        assert report.results == clean
-
-    def test_repeated_clean_exits_fail_citing_the_exit_code(
-            self, tmp_path, monkeypatch):
-        """The hard-failure message distinguishes a lying clean exit
-        from a crash, so the operator knows the shard *chose* to stop."""
-        specs, _, victim = self._specs_and_victim()
-
-        def always_quits(spec):
-            if spec.seed == victim.seed:
-                os._exit(0)
-            return execute_spec(spec)
-
-        monkeypatch.setattr(runner_mod, "execute_spec", always_quits)
-        with pytest.raises(ShardFailure,
-                           match=r"cleanly \(exit code 0\)"):
-            run_all_shards(specs, cache_dir=tmp_path / "sharded",
-                           count=self.SHARDS, relaunches=1)
-
-    def test_warm_orchestration_launches_nothing(self, tmp_path):
-        specs = [tiny_spec(seed=seed) for seed in range(1, 5)]
-        root = tmp_path / "cache"
-        first = run_all_shards(specs, cache_dir=root, count=2)
-        assert sum(first.launches.values()) >= 1
-        second = run_all_shards(specs, cache_dir=root, count=2)
-        assert second.launches == {}
-        assert second.precached == len(specs)
-        assert second.results == first.results
+        root = tmp_path / "faulted"
+        with pytest.raises(RunError) as excinfo:
+            Runner(jobs=self.JOBS, cache=ResultCache(root),
+                   retries=1).run(specs)
+        assert excinfo.value.spec == victim
+        assert excinfo.value.attempts == 2
+        faulted = ResultCache(root)
+        for key in faulted.keys():
+            assert faulted.read_bytes(key) == clean.read_bytes(key)
 
 
 # ---------------------------------------------------------------------

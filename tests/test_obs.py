@@ -29,7 +29,15 @@ import pytest
 
 from repro import obs
 from repro.config import tiny_scale
-from repro.exp import ResultCache, RunSpec, Runner, run_all_shards
+from repro.exp import (
+    ResultCache,
+    RunSpec,
+    Runner,
+    ShardSpec,
+    merge_caches,
+    run_shard,
+    shard_root,
+)
 from repro.obs import (
     NUM_BUCKETS,
     Histogram,
@@ -327,7 +335,13 @@ class TestCrossProcessMergeEquivalence:
 
         shard_sink = tmp_path / "shards.jsonl"
         monkeypatch.setenv(obs.TRACE_ENV, str(shard_sink))
-        run_all_shards(specs, tmp_path / "shard-cache", count=3)
+        shared = tmp_path / "shard-cache"
+        roots = []
+        for index in range(3):
+            shard = ShardSpec(index, 3)
+            roots.append(shard_root(shared, shard))
+            run_shard(specs, shard, roots[-1], jobs=2)
+        merge_caches(shared, roots)
         sharded = self.metrics_for(shard_sink)
 
         assert solo == sharded

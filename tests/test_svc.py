@@ -2,27 +2,29 @@
 
 Three layers:
 
-* pure-filesystem units — the bounded priority queue and the affinity
-  router need no processes at all;
+* pure-filesystem units — the bounded priority queue needs no
+  processes at all;
 * the client protocol — submit/status are file-only, so they are
   exercised with no supervisor alive (durable queued jobs, absent
   service status);
-* the live service — a real supervisor + worker fleet forked from the
-  test process.  These are the load-bearing tests: a served grid must
-  be *byte-identical* to the same grid run by a solo
+* the live service — a real supervisor (and its runner's worker pool)
+  forked from the test process.  These are the load-bearing tests: a
+  served grid must be *byte-identical* to the same grid run by a solo
   :class:`~repro.exp.runner.Runner` (the service's core contract), a
-  warm resubmission must be all cache hits, and a SIGKILLed worker
-  must be restarted with its claimed cell re-queued — with the final
-  bytes still identical.
+  warm resubmission must be all cache hits, a SIGKILLed pool worker
+  must be retried, a supervisor killed or stopped mid-job must leave
+  the job for the next serve to finish without recomputing a cached
+  cell, and ``--timeout`` must be enforced.
 
 The live tests rely on the ``fork`` start method (like the fault
 tests in ``test_exp_faults.py``): monkeypatched module state is
-inherited by the supervisor and its workers, so crash faults fire
+inherited by the supervisor and its pool workers, so faults fire
 inside real worker processes.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import multiprocessing
@@ -45,20 +47,18 @@ from repro.exp import (
     spec_key,
 )
 from repro.svc import (
+    JobFailed,
     JobQueue,
     QueueFull,
     Supervisor,
-    affinity_identity,
     format_status,
     read_job,
-    route,
     service_status,
     submit_job,
     svc_root_for,
     wait_job,
 )
 from repro.svc.supervisor import read_state
-from repro.svc.worker import worker_dir
 
 FORK = multiprocessing.get_start_method() == "fork"
 needs_fork = pytest.mark.skipif(
@@ -135,43 +135,6 @@ class TestJobQueue:
 
 
 # ---------------------------------------------------------------------
-# Affinity routing
-# ---------------------------------------------------------------------
-
-class TestAffinity:
-    def test_identity_is_a_stable_digest(self):
-        spec = tiny_spec(scheduler="strex")
-        first = affinity_identity(spec)
-        assert first == affinity_identity(tiny_spec(scheduler="strex"))
-        assert len(first) == 64
-        int(first, 16)  # hex
-
-    def test_route_is_deterministic_and_in_range(self):
-        specs = [tiny_spec(seed=seed, scheduler=scheduler)
-                 for seed in range(1, 5)
-                 for scheduler in ("base", "strex")]
-        for spec in specs:
-            index = route(spec, 3)
-            assert 0 <= index < 3
-            assert route(spec, 3) == index
-
-    def test_prefetcher_variants_share_a_worker(self):
-        """The prefetcher changes the simulation but not the traces or
-        run tables, so prefetcher variants of one cell share warm
-        state — the router deliberately ignores it."""
-        assert affinity_identity(tiny_spec()) == \
-            affinity_identity(tiny_spec(prefetcher="pif"))
-
-    def test_scheduler_changes_the_identity(self):
-        assert affinity_identity(tiny_spec()) != \
-            affinity_identity(tiny_spec(scheduler="strex"))
-
-    def test_trace_fields_change_the_identity(self):
-        assert affinity_identity(tiny_spec(seed=1)) != \
-            affinity_identity(tiny_spec(seed=2))
-
-
-# ---------------------------------------------------------------------
 # Client protocol without a supervisor
 # ---------------------------------------------------------------------
 
@@ -228,19 +191,22 @@ class TestClientOffline:
 # Live service
 # ---------------------------------------------------------------------
 
-def _serve_entry(cache_dir: str, workers: int) -> None:
-    """Forked supervisor entry: fast polling, test-sized timeouts."""
-    Supervisor(Path(cache_dir), workers=workers,
-               poll_interval=0.01, heartbeat_interval=0.05,
-               heartbeat_timeout=5.0).serve()
+def _serve_entry(cache_dir: str, workers: int,
+                 timeout: float | None) -> None:
+    """Forked supervisor entry: fast polling, in its own process group
+    so a test can SIGKILL it together with its pool workers."""
+    os.setpgrp()
+    Supervisor(Path(cache_dir), workers=workers, timeout=timeout,
+               poll_interval=0.01).serve()
 
 
 @contextlib.contextmanager
-def service(cache_dir: Path, workers: int = 2):
-    """A live service on ``cache_dir``; SIGTERM-drained on exit."""
+def service(cache_dir: Path, workers: int = 2,
+            timeout: float | None = None):
+    """A live service on ``cache_dir``; SIGTERM-stopped on exit."""
     context = multiprocessing.get_context("fork")
     process = context.Process(target=_serve_entry,
-                              args=(str(cache_dir), workers))
+                              args=(str(cache_dir), workers, timeout))
     process.start()
     root = svc_root_for(cache_dir)
     deadline = time.monotonic() + 30.0
@@ -260,14 +226,16 @@ def service(cache_dir: Path, workers: int = 2):
         if process.is_alive():
             os.kill(process.pid, signal.SIGTERM)
         process.join(60.0)
-        if process.is_alive():  # pragma: no cover - drain wedge
+        if process.is_alive():  # pragma: no cover - stop wedge
             process.kill()
             process.join()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)  # stray pool workers
 
 
 def _sigkill_first_execution(marker_path):
     """An ``execute_spec`` stand-in: the first execution anywhere in
-    the worker fleet (marker claimed with O_EXCL) SIGKILLs its own
+    the worker pool (marker claimed with O_EXCL) SIGKILLs its own
     worker process mid-cell."""
     real = execute_spec
 
@@ -282,6 +250,31 @@ def _sigkill_first_execution(marker_path):
     return killing
 
 
+def _block_once_on(marker_path, victim):
+    """An ``execute_spec`` stand-in: the first execution of ``victim``
+    (marker claimed with O_EXCL) blocks, so a test can kill or stop
+    the supervisor mid-job; later executions run normally."""
+    real = execute_spec
+
+    def blocking(spec):
+        if spec == victim:
+            try:
+                fd = os.open(marker_path, os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                return real(spec)
+            os.close(fd)
+            time.sleep(120.0)
+        return real(spec)
+
+    return blocking
+
+
+def executed_rows(cache_dir):
+    """How many executed (non-hit) manifest rows each key has."""
+    rows = Manifest(Path(cache_dir) / "manifest.jsonl").read()
+    return collections.Counter(row.key for row in rows if not row.hit)
+
+
 @needs_fork
 class TestServiceDifferential:
     def test_served_grid_is_byte_identical_to_a_solo_run(
@@ -289,7 +282,7 @@ class TestServiceDifferential:
         """The core contract end to end: a served job executes every
         cell, leaves the cache byte-identical to a solo Runner's, and a
         warm resubmission is 100% cache hits settled without a
-        worker."""
+        worker process."""
         specs = small_grid()
         served_root = tmp_path / "served"
         with service(served_root, workers=2) as (root, _process):
@@ -299,7 +292,6 @@ class TestServiceDifferential:
             assert record["done"] == len(specs)
             assert record["executed"] == len(specs)
             assert record["cache_hits"] == 0
-            assert record["warm_hits"] == 0
 
             warm_id = submit_job(root, specs)
             warm = wait_job(root, warm_id, timeout=60.0)
@@ -307,7 +299,7 @@ class TestServiceDifferential:
             assert warm["cache_hits"] == len(specs)
             assert warm["executed"] == 0
             assert warm["warm_rate"] == 1.0
-            # Precached cells are settled by the supervisor itself.
+            # Cached cells are answered by the runner in the supervisor.
             assert all(cell["worker"] is None
                        for cell in warm["cells"].values())
 
@@ -350,10 +342,9 @@ class TestServiceDifferential:
 class TestServiceCrashPaths:
     def test_sigkilled_worker_is_restarted_and_the_cell_requeued(
             self, tmp_path, monkeypatch):
-        """A worker SIGKILLed mid-cell leaves its claim behind; the
-        supervisor restarts the worker, re-queues the cell with a
-        bumped attempt count, and the job still finishes with bytes
-        identical to a solo run."""
+        """A pool worker SIGKILLed mid-cell breaks the runner's pool;
+        the runner starts a new pool and retries the lost cells, and
+        the job still finishes with bytes identical to a solo run."""
         specs = small_grid()
         solo_root = tmp_path / "solo"
         Runner(cache=ResultCache(solo_root)).run(specs)
@@ -368,56 +359,101 @@ class TestServiceCrashPaths:
             assert os.path.exists(tmp_path / "killed")
             assert record["state"] == "done"
             assert record["executed"] == len(specs)
-            # Exactly one cell needed a second attempt.
-            attempts = sorted(cell["attempts"]
-                              for cell in record["cells"].values())
-            assert attempts == [1] * (len(specs) - 1) + [2]
-            # The supervisor's state file (which carries the restart
-            # counters) is rewritten on a throttle; poll briefly.
-            deadline = time.monotonic() + 5.0
-            while True:
-                status = service_status(root)
-                restarts = sum(w["restarts"]
-                               for w in status["workers"])
-                if restarts >= 1 or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
-            assert restarts >= 1
+            # The killed cell (and any other cell in flight when the
+            # pool broke) needed a second attempt.
+            attempts = [cell["attempts"]
+                        for cell in record["cells"].values()]
+            assert max(attempts) == 2
         assert cache_blobs(served_root) == cache_blobs(solo_root)
+        assert set(executed_rows(served_root).values()) == {1}
 
-    def test_dead_worker_spool_is_recovered_on_restart(self, tmp_path):
-        """A cell file stranded in a ``running/`` spool (its claimant
-        and supervisor both long gone) is re-routed on the next serve
-        with its attempt count bumped, and the job completes."""
-        cache_dir = tmp_path / "cache"
-        root = svc_root_for(cache_dir)
-        spec = tiny_spec()
-        job_id = submit_job(root, [spec])
-        # Fabricate the aftermath of a crash: the job was admitted
-        # (record says running, queue drained) and the cell was
-        # claimed by a worker that died with it.
-        record = read_job(root, job_id)
-        cell_id = f"{job_id}.0000"
-        record.update(state="running", cells={cell_id: {
-            "key": spec_key(spec), "worker": 0, "status": "pending",
-            "hit": False, "wall_s": 0.0,
-            "attempts": 1, "error": None,
-        }})
-        from repro.svc.queue import _atomic_write_json
-        _atomic_write_json(root / "jobs" / f"{job_id}.json", record)
-        JobQueue(root / "queue").discard(job_id)
-        stranded = worker_dir(root, 0) / "running"
-        _atomic_write_json(
-            stranded / f"p5-{0:020d}-{cell_id}.json",
-            {"cell": cell_id, "job": job_id, "key": spec_key(spec),
-             "spec": spec.to_dict(), "attempts": 1, "priority": 5,
-             "enqueued_s": 0.0})
+    @pytest.mark.parametrize("how", ["SIGKILL", "SIGTERM"])
+    def test_interrupted_job_is_resumed_by_the_next_serve(
+            self, tmp_path, monkeypatch, how):
+        """A supervisor SIGKILLed (with its pool) or SIGTERMed mid-job
+        leaves the job ``running``; the next serve finishes it,
+        answering the cells that had finished from the cache, so no key
+        is executed twice."""
+        specs = small_grid()
+        victim = specs[-1]
+        solo_root = tmp_path / "solo"
+        Runner(cache=ResultCache(solo_root)).run(specs)
 
-        with service(cache_dir, workers=1):
-            done = wait_job(root, job_id, timeout=120.0)
-        assert done["state"] == "done"
-        assert done["cells"][cell_id]["attempts"] == 2
-        assert not list(stranded.glob("p*.json"))
+        monkeypatch.setattr(
+            runner_mod, "execute_spec",
+            _block_once_on(str(tmp_path / "blocked"), victim))
+        served_root = tmp_path / "served"
+        with service(served_root, workers=2) as (root, process):
+            job_id = submit_job(root, specs)
+            deadline = time.monotonic() + 120.0
+            while sum(executed_rows(served_root).values()) < \
+                    len(specs) - 1:
+                assert time.monotonic() < deadline, "job never ran"
+                time.sleep(0.05)
+            assert os.path.exists(tmp_path / "blocked")
+            if how == "SIGKILL":
+                os.killpg(process.pid, signal.SIGKILL)
+                process.join(60.0)
+                assert not process.is_alive()
+            else:
+                os.kill(process.pid, signal.SIGTERM)
+                process.join(60.0)
+                assert process.exitcode == 0
+                assert read_state(root)["state"] == "stopped"
+            assert read_job(root, job_id)["state"] == "running"
+
+        with service(served_root, workers=2) as (root, _process):
+            record = wait_job(root, job_id, timeout=300.0)
+        assert record["state"] == "done"
+        assert record["cache_hits"] == len(specs) - 1
+        assert record["executed"] == 1
+        assert cache_blobs(served_root) == cache_blobs(solo_root)
+        assert executed_rows(served_root) == collections.Counter(
+            spec_key(spec) for spec in specs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timeout_fails_a_wedged_job(self, tmp_path, monkeypatch,
+                                        workers):
+        """``--timeout`` is enforced on both the inline path (one
+        worker: the supervisor's main thread arms the alarm) and the
+        pool path: a wedged cell fails its job, naming the timeout."""
+        def wedged(spec):
+            time.sleep(5.0)
+
+        monkeypatch.setattr(runner_mod, "execute_spec", wedged)
+        start = time.monotonic()
+        with service(tmp_path / "cache", workers=workers,
+                     timeout=0.2) as (root, _process):
+            job_id = submit_job(root, [tiny_spec(seed=1),
+                                       tiny_spec(seed=2)])
+            with pytest.raises(JobFailed, match="SimTimeoutError"):
+                wait_job(root, job_id, timeout=10.0)
+        assert time.monotonic() - start < 10.0
+        assert read_job(root, job_id)["failed"] >= 1
+
+    def test_permanent_failure_cancels_the_rest_of_the_job(
+            self, tmp_path, monkeypatch):
+        """A cell that fails deterministically fails its job and the
+        job's remaining cells are cancelled, as in ``repro sweep``."""
+        real = execute_spec
+
+        def broken(spec):
+            if spec.seed == 2:
+                raise ValueError("injected deterministic failure")
+            return real(spec)
+
+        monkeypatch.setattr(runner_mod, "execute_spec", broken)
+        specs = [tiny_spec(seed=seed) for seed in (1, 2, 3)]
+        with service(tmp_path / "cache", workers=1) as (root, _process):
+            job_id = submit_job(root, specs)
+            record = wait_job(root, job_id, timeout=120.0,
+                              raise_on_failure=False)
+        statuses = [cell["status"] for _, cell in
+                    sorted(record["cells"].items())]
+        assert record["state"] == "failed"
+        assert statuses == ["done", "failed", "cancelled"]
+        assert "injected deterministic failure" in \
+            record["cells"][f"{job_id}.0001"]["error"]
 
     def test_second_supervisor_is_refused(self, tmp_path):
         cache_dir = tmp_path / "cache"
