@@ -202,6 +202,8 @@ class TestManifest:
             handle.write('{"key": "torn')
         assert len(Manifest(path).read()) == 1
 
+    def test_read_skips_torn_row_glued_by_a_relaunched_writer(self,
+                                                             tmp_path):
         # A writer killed mid-row, then a fresh append: the fragment is
         # glued to the next row and the glued line is skipped, while
         # the rows around it still read back.
