@@ -811,8 +811,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
                              "functions by total time")
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
-                             "(fast-forward runs taken, memo hit "
-                             "rate, event/instruction totals, kernel "
+                             "(event/instruction totals, kernel "
                              "calls) in the report as "
                              "'kernel_counters'")
     return parser

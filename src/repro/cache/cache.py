@@ -118,15 +118,6 @@ class Cache:
         )
         self.victim_callback = victim_callback
         self.stats = CacheStats()
-        #: Monotonic mutation counter: every state change through the
-        #: public API (fills, hits' tag/recency updates, invalidations,
-        #: flushes, tag rewrites) bumps it.  The engine's hit-run
-        #: fast-forward uses it as a conservative residency signature
-        #: -- a memoized hit-run delta is only reapplied when the
-        #: version it was keyed on still holds.
-        #: The engine's inlined loops bump it in bulk (once per fill)
-        #: at loop exit.
-        self.version = 0
         # Hot-path dispatch hints: whether on_miss is a real override
         # (only set-dueling policies implement it) and whether inserts
         # can be inlined as an MRU age stamp.
@@ -195,7 +186,6 @@ class Cache:
         Returns:
             True on hit, False on miss.
         """
-        self.version += 1
         slot = self._where.get(block)
         if slot is not None:
             self.stats.hits += 1
@@ -210,8 +200,7 @@ class Cache:
                 policy.hit_slot(slot)
             self._slot_tags[slot] = tag
             return True
-        # The flattened fill: one call per miss instead of three.  With
-        # the bump above the version moves by two, a probe plus a fill.
+        # The flattened fill: one call per miss instead of three.
         self.miss_fill(block, tag, block & self._set_mask
                        if self._power_of_two else block % self.num_sets)
         return False
@@ -226,7 +215,6 @@ class Cache:
         fills.  The body is :meth:`_fill` flattened in (one call per
         miss instead of four on the LRU default).
         """
-        self.version += 1
         self.stats.misses += 1
         policy = self.policy
         if self._policy_has_on_miss:
@@ -255,7 +243,6 @@ class Cache:
         """Like :meth:`access` but never fills; still counts stats and
         updates recency on hit.  Used by the idealized PIF model, where
         the L1-I never stalls but would-miss traffic is tracked."""
-        self.version += 1
         slot = self._where.get(block)
         if slot is not None:
             self.stats.hits += 1
@@ -273,7 +260,6 @@ class Cache:
         self._fill(self.set_index(block), block, tag)
 
     def _fill(self, set_index: int, block: int, tag: int) -> None:
-        self.version += 1
         if self._set_len[set_index] < self.assoc:
             base = set_index * self.assoc
             slot = self._slot_blocks.index(None, base, base + self.assoc)
@@ -303,7 +289,6 @@ class Cache:
         slot = self._where.get(block)
         if slot is None:
             return False
-        self.version += 1
         self._slot_tags[slot] = tag
         return True
 
@@ -315,7 +300,6 @@ class Cache:
         slot = self._where.pop(block, None)
         if slot is None:
             return False
-        self.version += 1
         self._slot_blocks[slot] = None
         self._set_len[slot // self.assoc] -= 1
         self.stats.invalidations += 1
@@ -324,7 +308,6 @@ class Cache:
     def reset_tags(self, tag: int = 0) -> None:
         """Set every resident block's metadata tag to ``tag`` (used when
         the FPTable profiler resets all phaseID tables -- Section 5.5)."""
-        self.version += 1
         tags = self._slot_tags
         for slot in self._where.values():
             tags[slot] = tag
@@ -335,7 +318,6 @@ class Cache:
         Mutates the storage arrays in place: the engine's specialized
         loops capture references to them once at construction.
         """
-        self.version += 1
         self._where.clear()
         num_slots = self.num_sets * self.assoc
         self._slot_blocks[:] = [None] * num_slots
@@ -387,7 +369,6 @@ class ReferenceCache(Cache):
         return sum(len(mapping) for mapping in self._lookup)
 
     def access(self, block: int, tag: int = 0) -> bool:
-        self.version += 1
         set_index = self.set_index(block)
         way = self._lookup[set_index].get(block)
         if way is not None:
@@ -401,7 +382,6 @@ class ReferenceCache(Cache):
         return False
 
     def probe(self, block: int) -> bool:
-        self.version += 1
         set_index = self.set_index(block)
         way = self._lookup[set_index].get(block)
         if way is not None:
@@ -419,7 +399,6 @@ class ReferenceCache(Cache):
         self._fill(set_index, block, tag)
 
     def _fill(self, set_index: int, block: int, tag: int) -> None:
-        self.version += 1
         mapping = self._lookup[set_index]
         blocks = self._blocks[set_index]
         if len(mapping) < self.assoc:
@@ -442,7 +421,6 @@ class ReferenceCache(Cache):
         way = self._lookup[set_index].get(block)
         if way is None:
             return False
-        self.version += 1
         self._tags[set_index][way] = tag
         return True
 
@@ -451,20 +429,17 @@ class ReferenceCache(Cache):
         way = self._lookup[set_index].pop(block, None)
         if way is None:
             return False
-        self.version += 1
         self._blocks[set_index][way] = None
         self.stats.invalidations += 1
         return True
 
     def reset_tags(self, tag: int = 0) -> None:
-        self.version += 1
         for set_index, mapping in enumerate(self._lookup):
             tags = self._tags[set_index]
             for way in mapping.values():
                 tags[way] = tag
 
     def flush(self) -> None:
-        self.version += 1
         for set_index in range(self.num_sets):
             self._lookup[set_index].clear()
             self._blocks[set_index] = [None] * self.assoc

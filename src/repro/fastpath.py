@@ -33,13 +33,6 @@ ENV_VAR = "REPRO_SIM_REFERENCE"
 #: Any value other than empty/"0" enables them.
 CHECK_ENV = "REPRO_SIM_CHECK"
 
-#: Environment variable disabling hit-run fast-forwarding in the age
-#: loop (:meth:`repro.sim.engine.SimulationEngine._run_events_age`).
-#: Any value other than empty/"0" forces scalar replay; results are
-#: byte-identical either way -- this is an escape hatch and an A/B
-#: switch for the differential tests, not a semantic knob.
-NOBATCH_ENV = "REPRO_SIM_NOBATCH"
-
 
 def reference_mode() -> bool:
     """True when the reference simulation path is requested."""
@@ -49,8 +42,3 @@ def reference_mode() -> bool:
 def check_mode() -> bool:
     """True when the engine's invariant oracles are armed."""
     return os.environ.get(CHECK_ENV, "") not in ("", "0")
-
-
-def nobatch_mode() -> bool:
-    """True when hit-run fast-forwarding is disabled."""
-    return os.environ.get(NOBATCH_ENV, "") not in ("", "0")

@@ -9,10 +9,8 @@ any timing is trusted, the two paths' full :class:`RunResult` dicts are
 compared for every timed scheduler; a mismatch raises rather than
 recording a meaningless number.
 
-Three series are timed: ``fast`` (the cold kernel: the age loop with
-hit-run fast-forwarding), ``fast_nobatch`` (``REPRO_SIM_NOBATCH=1``:
-the same loop with fast-forwarding off, so its own gain stays
-measured), and ``reference``.
+Two series are timed: ``fast`` (the cold kernel: the age loop over
+the flat cache layout) and ``reference``.
 
 The report is written as JSON (``BENCH_sim.json`` at the repo root by
 convention) so CI can archive it and reviews can diff it;
@@ -32,7 +30,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.config import SCALES
-from repro.fastpath import ENV_VAR, NOBATCH_ENV
+from repro.fastpath import ENV_VAR
 from repro.sim.api import SCHEDULERS, simulate
 from repro.workloads import WORKLOADS
 
@@ -45,13 +43,6 @@ def _set_reference(on: bool) -> None:
         os.environ[ENV_VAR] = "1"
     else:
         os.environ.pop(ENV_VAR, None)
-
-
-def _set_nobatch(on: bool) -> None:
-    if on:
-        os.environ[NOBATCH_ENV] = "1"
-    else:
-        os.environ.pop(NOBATCH_ENV, None)
 
 
 def _time_run(config, traces, scheduler: str, workload: str) -> float:
@@ -80,10 +71,9 @@ def run_bench(
 
     With ``trace_counters`` the report additionally embeds
     ``kernel_counters``: the engine's own attribution for one fast run
-    -- fast-forward runs taken, memo hit rate, event/instruction
-    totals, kernel calls -- so a regression report arrives with its
-    own diagnosis (did ff stop taking runs?).  The extra run happens
-    after all timing.
+    -- event/instruction totals and kernel calls -- so a regression
+    report arrives with its own diagnosis (did the slices get
+    shorter?).  The extra run happens after all timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -103,7 +93,6 @@ def run_bench(
     traces = suite.generate_mix(transactions, seed=seed)
     events = sum(len(trace) for trace in traces)
     saved = os.environ.get(ENV_VAR)
-    saved_nobatch = os.environ.get(NOBATCH_ENV)
     bench_span = obs.span(
         "perf.bench", scale=scale, workload=workload,
         cores=config.num_cores)
@@ -113,7 +102,6 @@ def run_bench(
             # whose number the report carries, while doing so.
             mismatched = []
             with obs.span("perf.warmup"):
-                _set_nobatch(False)
                 for name in dict.fromkeys(("base",) + schedulers):
                     _set_reference(False)
                     fast_result = simulate(
@@ -130,21 +118,15 @@ def run_bench(
                     f"{', '.join(mismatched)}; fix parity before "
                     f"benchmarking (run the tests in "
                     f"tests/test_parity.py)")
-            # Timed repeats, interleaved so host drift hits every
-            # series alike.  The nobatch series times the same kernel
-            # with hit-run fast-forwarding off.
+            # Timed repeats, interleaved so host drift hits both
+            # series alike.
             fast_wall = []
-            nobatch_wall = []
             ref_wall = []
             with obs.span("perf.timed", repeats=repeats):
                 for _ in range(repeats):
                     _set_reference(False)
                     fast_wall.append(
                         _time_run(config, traces, "base", workload))
-                    _set_nobatch(True)
-                    nobatch_wall.append(
-                        _time_run(config, traces, "base", workload))
-                    _set_nobatch(False)
                     _set_reference(True)
                     ref_wall.append(
                         _time_run(config, traces, "base", workload))
@@ -164,12 +146,7 @@ def run_bench(
             os.environ.pop(ENV_VAR, None)
         else:
             os.environ[ENV_VAR] = saved
-        if saved_nobatch is None:
-            os.environ.pop(NOBATCH_ENV, None)
-        else:
-            os.environ[NOBATCH_ENV] = saved_nobatch
     fast_s = min(fast_wall)
-    nobatch_s = min(nobatch_wall)
     ref_s = min(ref_wall)
     per_scheduler = {name: round(min(walls), 4)
                      for name, walls in scheduler_wall.items()}
@@ -186,10 +163,6 @@ def run_bench(
         "fast": {
             "wall_s": round(fast_s, 4),
             "events_per_s": round(events / fast_s),
-        },
-        "fast_nobatch": {
-            "wall_s": round(nobatch_s, 4),
-            "events_per_s": round(events / nobatch_s),
         },
         "reference": {
             "wall_s": round(ref_s, 4),
@@ -219,16 +192,9 @@ def _traced_kernel_counters(config, traces, workload: str
     span = next(
         s for s in reversed(tracer.ring) if s.name == "sim.run")
     counters = span.counters
-    ff_runs = int(counters.get("ff_runs", 0))
-    ff_memo_hits = int(counters.get("ff_memo_hits", 0))
     return {
         "events": int(counters.get("events", 0)),
         "instructions": int(counters.get("instructions", 0)),
-        "ff_runs": ff_runs,
-        "ff_memo_hits": ff_memo_hits,
-        "ff_memo_hit_rate": (
-            round(ff_memo_hits / ff_runs, 4) if ff_runs else 0.0
-        ),
         "kernel_calls": int(counters.get("kernel_calls", 0)),
     }
 
@@ -346,14 +312,8 @@ def format_report(report: Dict[str, object]) -> str:
         f"({ref['events_per_s']:,} events/s)",
         f"  speedup:   x{report['speedup']:.2f} "
         f"(parity {'OK' if report['parity'] else 'FAILED'})",
+        "  scheduler wall times (fast path):",
     ]
-    nobatch = report.get("fast_nobatch")
-    if nobatch is not None:
-        lines.append(
-            f"  no-ff:     {nobatch['wall_s']:.3f}s "
-            f"({nobatch['events_per_s']:,} events/s; fast-forward "
-            f"x{nobatch['wall_s'] / fast['wall_s']:.2f})")
-    lines.append("  scheduler wall times (fast path):")
     for name, wall in report["schedulers_wall_s"].items():
         lines.append(f"    {name:7s} {wall:.3f}s")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 from repro import obs
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import SystemConfig
-from repro.fastpath import nobatch_mode, reference_mode
+from repro.fastpath import reference_mode
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
 from repro.sim.results import RunResult
 from repro.sim.thread import TxnThread
@@ -98,28 +98,6 @@ class SimulationEngine:
         # REPRO_SIM_CHECK=1 arms the invariant oracles; like the
         # kernel choice, the decision is latched at construction.
         self.checker = make_checker(self)
-        # Hit-run fast-forward needs the age kernel, no armed oracles,
-        # and no NOBATCH override; the per-core memo maps a run's
-        # distinct-block tuple -> (residency signature, resident
-        # slots).  The signature is out-of-band mutations (l1i.version
-        # minus the fills the age loop accounted into it) plus the
-        # fill counters of the sets the run involves -- all monotonic,
-        # so a sum compares equal iff none of them moved.
-        self._ff_enabled = (
-            self._age_kernel
-            and self.checker is None
-            and not nobatch_mode()
-        )
-        if self._ff_enabled:
-            self._ff_memos = [dict() for _ in range(config.num_cores)]
-        # Maintained by the age loop even when fast-forward is off
-        # (one int add per L1-I miss) so the signatures stay coherent.
-        self._ff_fill_base = [0] * config.num_cores
-        self._ff_set_fills = [
-            [0] * self._l1i_sets for _ in range(config.num_cores)
-        ]
-        self.ff_runs = 0
-        self.ff_memo_hits = 0
         # One add per run_events call (the slice-boundary count).
         self.kernel_calls = 0
         if self._age_kernel:
@@ -128,21 +106,18 @@ class SimulationEngine:
     def _bind_views(self) -> None:
         """Bind each thread's age-loop kernel view once.
 
-        ``(packed_events, instruction_prefix, run_tables)`` -- the
-        tables only when fast-forwarding is on -- so a slice pays one
-        slot read instead of three memo-method calls.  Only age
-        engines bind views: the general loop never reads packed
-        events, and building them would only cost memory.
+        ``(packed_events, instruction_prefix)``, so a slice pays one
+        slot read instead of two memo-method calls.  Only age engines
+        bind views: the general loop never reads packed events, and
+        building them would only cost memory.
         """
         cpi = self._base_cpi
         num_sets = self._l1i_sets
-        ff = self._ff_enabled
         for thread in self.threads:
             trace = thread.trace
             thread.view = (
                 trace.packed_events(cpi, num_sets),
                 trace.instruction_prefix(),
-                trace.run_tables(cpi, num_sets) if ff else None,
             )
 
     # ------------------------------------------------------------------
@@ -304,8 +279,6 @@ class SimulationEngine:
 
         if flat:
             l1i.stats.hits += i_hits
-            # access() bumps the version once per probe.
-            l1i.version += pos - start
         thread.pos = pos
         thread.instructions_done += instructions
         self.total_instructions += instructions
@@ -387,50 +360,21 @@ class SimulationEngine:
         is the age-stamp dance directly.  Charges and side effects are
         ordered exactly as in :meth:`_run_events_general`, so every
         result is bit-identical to it.  The event walk is a ``for``
-        over list-slice chunks -- no per-event index arithmetic.
+        over a list slice -- no per-event index arithmetic.
 
         **Monitoring.**  STREX's :attr:`switch_requested` is only set
         by the L1-I victim callback and SLICC's ``miss_log`` only grows
         on an L1-I miss, so only a miss can change monitoring state.
         The miss branch raises a local ``flagged`` when it does, and
-        the chunk ends after that event's data side; the outer loop
+        the walk stops after that event's data side; the outer loop
         then applies the progress floor (absorb or stop) and the miss
-        bound exactly as a per-event check would.  ``flagged`` is
+        bound exactly as a per-event check would, and an absorbed
+        request resumes the walk on a fresh quantum.  ``flagged`` is
         seeded on entry: a request already pending, or a ``miss_log``
         already at its bound, is acted on after exactly one event.
         Every event is exactly one L1-I hit or miss, so the position
         is ``start + i_hits + i_misses``, and the instruction count
         comes from the prefix sums once, at the end.
-
-        **Hit-run fast-forwarding.**  When the thread's view carries
-        the trace's precomputed
-        :meth:`~repro.trace.trace.TransactionTrace.run_tables` pair,
-        ``next_ff`` gives the next fast-forward candidate at or after
-        any position, so events outside runs replay on scalar chunks;
-        at a candidate, if every distinct block of the run is L1-I
-        resident the whole run retires with bulk accounting -- per-event
-        cycle terms are still accumulated sequentially (float addition
-        is non-associative), hits are bulk counted, and under MRU
-        promotion each block's age becomes the stamp of its *last*
-        occurrence (``run_start_tick + offset``) with the tick advanced
-        by the run length, exactly the scalar outcome.  A run only
-        touches resident blocks, so no fill, eviction, victim callback,
-        L2 or data-side effect is skipped, and monitoring state cannot
-        change during it; while ``flagged`` is set no run is retired in
-        bulk, because the scalar loop would act on it after one event.
-
-        The residency probe is memoized per distinct-block tuple under
-        a per-set residency signature: the sum of the involved sets'
-        fill counters plus the cache's out-of-band mutation count
-        (:attr:`Cache.version` net of the fills this loop accounts into
-        it -- flushes, invalidates, tag rewrites and any public access
-        land there).  All components are monotonic, so the sum
-        compares equal iff nothing touching an involved set changed;
-        fills to *other* sets leave the memo valid.  Because the key
-        is the run's content rather than its trace position, a
-        successor thread replaying the same code-path phase against
-        the same warm L1-I (the stratified-execution common case)
-        reuses the predecessor's probe.
         """
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
          i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
@@ -440,7 +384,7 @@ class SimulationEngine:
          l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
-        events, prefix, tables = thread.view
+        events, prefix = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
         i_tick = i_pol._tick
@@ -448,16 +392,6 @@ class SimulationEngine:
         pos = thread.pos
         end = min(n_events, pos + max_events)
         start = pos
-        set_fills = self._ff_set_fills[core]
-        next_ff = None
-        if tables is not None:
-            next_ff, runs = tables
-            ff_memo = self._ff_memos[core]
-            ff_memo_get = ff_memo.get
-            # Out-of-band mutation count: version bumps not accounted
-            # by this loop's bulk fill updates (flush, invalidate, tag
-            # rewrites, any public access).  Constant within the call.
-            shock = l1i.version - self._ff_fill_base[core]
         monitor = switch_floor is not None
         # Seeded with the monitoring state the call was entered with.
         flagged = (monitor and self.switch_requested) or (
@@ -469,65 +403,10 @@ class SimulationEngine:
         i_evictions = 0
         d_hits = 0
         noc_hops = 0
-        ff_runs = 0
-        ff_memo_hits = 0
 
         while pos < end:
-            if next_ff is None:
-                stop = end
-            else:
-                nf = next_ff[pos]
-                if nf == pos:
-                    # A candidate run starts exactly here.  A flag
-                    # pending on entry must be acted on after one
-                    # event, so the run then replays scalar.
-                    (rend, run_cycles, distinct, last_offs, n_run,
-                     run_sets) = runs[pos]
-                    took = False
-                    if rend <= end and not flagged:
-                        sig = shock
-                        for fset in run_sets:
-                            sig += set_fills[fset]
-                        memo = ff_memo_get(distinct)
-                        if memo is not None and memo[0] == sig:
-                            slots = memo[1]
-                            took = True
-                            ff_memo_hits += 1
-                        else:
-                            slots = []
-                            slots_append = slots.append
-                            for block in distinct:
-                                fslot = i_where_get(block)
-                                if fslot is None:
-                                    break
-                                slots_append(fslot)
-                            else:
-                                took = True
-                                ff_memo[distinct] = (sig, slots)
-                    if took:
-                        # Every block resident: the run is all hits, so
-                        # no state beyond ages/tags/stats can change --
-                        # retire it.
-                        ff_runs += 1
-                        for icycles in run_cycles:
-                            cycles += icycles
-                        i_hits += n_run
-                        if i_promote:
-                            for fslot, off in zip(slots, last_offs):
-                                i_ages[fslot] = i_tick + off
-                            i_tick += n_run
-                        for fslot in slots:
-                            i_tags[fslot] = tag
-                        pos = rend
-                        continue
-                    # Not fully resident (or it straddles the slice
-                    # end): replay it scalar.
-                    stop = rend if rend < end else end
-                else:
-                    # Scalar chunk up to the next candidate run.
-                    stop = nf if nf < end else end
             for iblock, icycles, ilen, dblock, dwrite, iset in \
-                    events[pos:stop]:
+                    events[pos:end]:
                 cycles += icycles
                 slot = i_where_get(iblock)
                 if slot is not None:
@@ -539,7 +418,6 @@ class SimulationEngine:
                 else:
                     # L1-I miss: fill (evicting by oldest age) ...
                     i_misses += 1
-                    set_fills[iset] += 1
                     base = iset * i_assoc
                     if i_set_len[iset] < i_assoc:
                         slot = i_slot_blocks.index(None, base,
@@ -646,8 +524,8 @@ class SimulationEngine:
                 if flagged:
                     break
             else:
-                pos = stop
-                continue
+                pos = end
+                break
             # Flagged: every event is exactly one L1-I hit or miss.
             pos = start + i_hits + i_misses
             flagged = False
@@ -669,18 +547,12 @@ class SimulationEngine:
         i_stats.hits += i_hits
         i_stats.misses += i_misses
         i_stats.evictions += i_evictions
-        # Bulk mutation-version accounting: each inline fill changed
-        # L1-I residency once (the fast-forward memo keys on this).
-        l1i.version += i_misses
-        self._ff_fill_base[core] += i_misses
         l1d_stats.hits += d_hits
         # Exactly one L2 message crosses the torus per L1-I miss.
         self.hier.l2_demand_traffic += i_misses
         noc = self.hier.noc
         noc.messages += i_misses
         noc.total_hops += noc_hops
-        self.ff_runs += ff_runs
-        self.ff_memo_hits += ff_memo_hits
         thread.pos = pos
         thread.instructions_done += instructions
         self.total_instructions += instructions
@@ -742,8 +614,6 @@ class SimulationEngine:
                     "events", sum(t.pos for t in self.threads)
                 )
                 sp.add("instructions", self.total_instructions)
-                sp.add("ff_runs", self.ff_runs)
-                sp.add("ff_memo_hits", self.ff_memo_hits)
                 sp.add("kernel_calls", self.kernel_calls)
                 tracer = obs.tracer()
                 if tracer is not None:

@@ -37,8 +37,8 @@ class TxnThread:
         self.trace = trace
         self.n_events = len(trace)
         # The age loop's per-thread kernel view, ``(packed_events,
-        # instruction_prefix, run_tables)``; bound by the engine at
-        # construction when it runs that loop, else None.
+        # instruction_prefix)``; bound by the engine at construction
+        # when it runs that loop, else None.
         self.view: Optional[tuple] = None
         self.pos = 0
         self.arrival = arrival

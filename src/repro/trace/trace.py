@@ -29,9 +29,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Minimum length (in events) of an instruction-only span for the
-#: engine's hit-run fast-forward to consider it.  Shorter spans are
-#: cheaper to replay scalar than to probe for residency.
+#: Minimum length (in events) of an instruction-only span that
+#: :meth:`TransactionTrace.run_tables` records as a run.
 RUN_MIN_EVENTS = 4
 
 
@@ -185,7 +184,11 @@ class TransactionTrace:
         return packed
 
     def run_tables(self, cpi: float, num_sets: int) -> Optional[tuple]:
-        """Hit-run tables for the engine's fast-forward.
+        """Hit-run tables: the instruction-only spans of the trace.
+
+        No simulation path calls it; it stays part of the trace API
+        because ``bench/child.py`` wraps it by name when it times the
+        trace-precompute layer.
 
         A *run* is a maximal span of instruction-only events (no
         data-side access, ``dblock < 0``); spans shorter than
@@ -193,26 +196,18 @@ class TransactionTrace:
         trace has no eligible runs, else ``(next_ff, runs)``:
 
         * ``next_ff[i]`` -- start index of the first eligible run at or
-          after event ``i`` (``len(trace)`` when none remain), so the
-          scalar loop knows exactly how far to interpret before the
-          next fast-forward opportunity;
+          after event ``i`` (``len(trace)`` when none remain);
         * ``runs[start] = (end, icycles, distinct_blocks,
           last_offsets, n_events, run_sets)`` -- the half-open span, the
           per-event ``ilen * cpi`` terms (bit-identical operands to
-          :meth:`packed_events`, accumulated sequentially so float
-          cycle totals match the scalar loop), the distinct instruction
-          blocks in first-occurrence order (a tuple -- the engine keys
-          its residency memo on it, so identical code-path runs in
-          *different* traces share memo entries), each block's last
+          :meth:`packed_events`), the distinct instruction
+          blocks in first-occurrence order (a tuple), each block's last
           within-run offset (its final age stamp under MRU promotion),
           the event count, and the distinct L1-I set indices the run's
-          blocks map to (the engine sums those sets' fill counters into
-          the memo's residency signature, so only a fill touching an
-          involved set invalidates it).
+          blocks map to.
 
         Span discovery is vectorized with NumPy over the ``dblocks``
-        column; built once per ``(cpi, num_sets)`` and shared by every
-        run of the batch.
+        column; built once per ``(cpi, num_sets)``.
         """
         key = (cpi, num_sets)
         if key in self._run_tables:

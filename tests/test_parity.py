@@ -144,9 +144,9 @@ class TestTracedParity:
 
 class TestGeneralLoopCacheState:
     """The general loop's inlined L1-I probe over the flat layout leaves
-    every L1-I as ``access()`` would: the same counters and mutation
-    version as the reference layout, for each hit mode (none, age with
-    set dueling, age, zero), with and without a prefetcher."""
+    every L1-I as ``access()`` would: the same counters as the
+    reference layout, for each hit mode (none, age with set dueling,
+    age, zero), with and without a prefetcher."""
 
     @pytest.mark.parametrize("prefetcher", (None, NextLinePrefetcher))
     @pytest.mark.parametrize("policy", ("random", "dip", "bip", "srrip"))
@@ -163,8 +163,7 @@ class TestGeneralLoopCacheState:
             result = json.dumps(engine.run("tpcc").to_dict(),
                                 sort_keys=True)
             states.append((result, [
-                (cache.stats.snapshot(), cache.version)
-                for cache in engine.hier.l1i]))
+                cache.stats.snapshot() for cache in engine.hier.l1i]))
         assert states[0] == states[1]
 
 
@@ -369,14 +368,12 @@ class TestSwitchFloorEdges:
     def test_pre_armed_entry_blocks_bulk_retire(self, monkeypatch, loop,
                                                 reference):
         # The call starts on a 20-event hit run that fits the quantum,
-        # which the age loop retires in bulk when nothing is pending;
-        # a pending request must still stop the call after one event.
+        # which runs to the end when nothing is pending; a pending
+        # request must still stop the call after one event.
         idle = self._one_block_engine(monkeypatch, loop, reference,
                                       (1, 20))
         assert idle.run_events(0, idle.threads[1], 30,
                                switch_floor=1) == 20
-        assert idle.ff_runs == int(idle._ff_enabled)
-        assert idle._ff_enabled == (loop == "age" and not reference)
         armed = self._one_block_engine(monkeypatch, loop, reference,
                                        (1, 20))
         armed.switch_requested = True
@@ -384,4 +381,3 @@ class TestSwitchFloorEdges:
                                 switch_floor=1) == 1
         assert armed.switch_requested
         assert armed.core_time[0] == 127
-        assert armed.ff_runs == 0
