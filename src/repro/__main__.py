@@ -20,8 +20,8 @@ The ``diff`` subcommand is the audit layer: it aligns two sweeps'
 manifests cell-by-cell by *spec identity* (ignoring the source
 fingerprint) and reports per-metric drift, exiting nonzero on any
 out-of-tolerance change; ``diff --reference`` instead runs a grid
-through both the fast-path and ``REPRO_SIM_REFERENCE=1`` kernels and
-asserts byte-equal results; ``diff --audit A B`` walks two
+through both the fast kernel and the reference kernel
+(``repro.verify.reference``) and asserts byte-equal results; ``diff --audit A B`` walks two
 ``audit/<fig>.jsonl`` directories and prints a per-figure drift
 dashboard.  The ``baseline`` subcommand maintains committed metric
 snapshots (``pin``/``check``/``update``) that give CI a cell-level
@@ -514,8 +514,8 @@ def build_diff_parser() -> argparse.ArgumentParser:
                     "each cell as identical/changed/added/removed, "
                     "and report per-metric deltas.  Exits nonzero on "
                     "any out-of-tolerance change.  With --reference, "
-                    "instead runs a grid through both the fast-path "
-                    "and REPRO_SIM_REFERENCE=1 kernels and asserts "
+                    "instead runs a grid through both the fast "
+                    "and the reference kernel and asserts "
                     "byte-equal results per cell.",
     )
     parser.add_argument("a", nargs="?", type=Path, metavar="MANIFEST_A",
@@ -544,8 +544,8 @@ def build_diff_parser() -> argparse.ArgumentParser:
                              "comments)")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--reference", action="store_true",
-                      help="diff the fast-path kernel against "
-                           "REPRO_SIM_REFERENCE=1 on the grid flags "
+                      help="diff the fast kernel against the "
+                           "reference kernel on the grid flags "
                            "below (byte-equality; tolerances do not "
                            "apply)")
     mode.add_argument("--audit", action="store_true",
@@ -663,7 +663,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         description="Property-based differential fuzzing of the "
                     "simulator: generate seeded hostile cases (or "
                     "replay saved ones), run each through the fast "
-                    "AND REPRO_SIM_REFERENCE=1 kernels with the "
+                    "AND the reference kernel with the "
                     "REPRO_SIM_CHECK=1 invariant oracles armed, and "
                     "require byte-equal results.  Failures are "
                     "shrunk to minimal one-file JSON repros; "
@@ -768,8 +768,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
     """Parser for the ``perf`` subcommand (kernel microbenchmark)."""
     parser = argparse.ArgumentParser(
         prog="repro perf",
-        description="Benchmark the simulation kernel: fast path vs "
-                    "the REPRO_SIM_REFERENCE implementation on the "
+        description="Benchmark the simulation kernel: fast vs "
+                    "reference kernel on the "
                     "same traces, with parity asserted first.  Writes "
                     "a JSON report for tracking.",
     )

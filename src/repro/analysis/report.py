@@ -7,7 +7,7 @@ in a terminal (no plotting dependencies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -73,18 +73,3 @@ def percent_delta(before: float, after: float) -> float:
     if before == 0:
         return 0.0
     return 100.0 * (after - before) / before
-
-
-def comparison_summary(results: Dict[str, float],
-                       baseline_key: str) -> str:
-    """One line per entry with the delta versus a named baseline."""
-    base = results[baseline_key]
-    lines = []
-    for key, value in results.items():
-        if key == baseline_key:
-            lines.append(f"{key}: {value:.3f} (baseline)")
-        else:
-            delta = percent_delta(base, value)
-            lines.append(f"{key}: {value:.3f} ({delta:+.1f}% vs "
-                         f"{baseline_key})")
-    return "\n".join(lines)

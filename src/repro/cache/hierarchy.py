@@ -25,9 +25,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Set
 
-from repro.cache.cache import Cache, VictimCallback, make_cache
+from repro.cache.cache import Cache, VictimCallback
 from repro.config import SystemConfig
-from repro.fastpath import reference_mode
 from repro.mem.dram import DramModel
 from repro.noc.torus import TorusNetwork
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
@@ -46,6 +45,9 @@ class CoherenceState:
 class MemoryHierarchy:
     """The full cache/memory system shared by all scheduler variants."""
 
+    #: The cache class of every level.
+    cache_class = Cache
+
     def __init__(
         self,
         config: SystemConfig,
@@ -54,22 +56,23 @@ class MemoryHierarchy:
         self.config = config
         n = config.num_cores
         rng = random.Random(config.seed)
+        cache_class = self.cache_class
         self.l1i: List[Cache] = [
-            make_cache(config.l1i,
-                       rng=random.Random(rng.randrange(2**31)),
-                       name=f"l1i{c}")
+            cache_class(config.l1i,
+                        rng=random.Random(rng.randrange(2**31)),
+                        name=f"l1i{c}")
             for c in range(n)
         ]
         self.l1d: List[Cache] = [
-            make_cache(config.l1d,
-                       rng=random.Random(rng.randrange(2**31)),
-                       name=f"l1d{c}")
+            cache_class(config.l1d,
+                        rng=random.Random(rng.randrange(2**31)),
+                        name=f"l1d{c}")
             for c in range(n)
         ]
         self.l2: List[Cache] = [
-            make_cache(config.l2_slice,
-                       rng=random.Random(rng.randrange(2**31)),
-                       name=f"l2s{c}")
+            cache_class(config.l2_slice,
+                        rng=random.Random(rng.randrange(2**31)),
+                        name=f"l2s{c}")
             for c in range(n)
         ]
         self.noc = TorusNetwork(n, config.noc)
@@ -88,11 +91,6 @@ class MemoryHierarchy:
              for s in range(n)]
             for c in range(n)
         ]
-        if not reference_mode():
-            # Flat-layout caches admit an inlined L2 access; rebinding
-            # the instance attribute routes every caller (engine loops
-            # and access_data alike) through one implementation.
-            self._l2_access = self._l2_access_fast
 
     # ------------------------------------------------------------------
     # L2 + DRAM
@@ -102,22 +100,13 @@ class MemoryHierarchy:
         return block % self.config.num_cores
 
     def _l2_access(self, core: int, block: int) -> int:
-        """Access the block's home L2 slice; fills from DRAM on miss."""
-        self.l2_demand_traffic += 1
-        slice_id = self.home_slice(block)
-        slice_cache = self.l2[slice_id]
-        latency = 2 * self.noc.latency(core, slice_id)
-        latency += slice_cache.config.hit_latency
-        if not slice_cache.access(block):
-            latency += self.dram.access(block)
-        return latency
+        """Access the block's home L2 slice; fills from DRAM on miss.
 
-    def _l2_access_fast(self, core: int, block: int) -> int:
-        """:meth:`_l2_access` with the access machinery inlined.
-
-        Installed over ``_l2_access`` at construction on the fast path
-        (flat cache layout required); side effects, counters, and the
-        returned latency are identical to the reference body.
+        Returns the round trip over the torus plus the slice's hit
+        latency, plus the DRAM latency on a miss.  The slice access is
+        inlined over the flat cache layout; the reference hierarchy
+        (:mod:`repro.verify.reference`) takes the generic route, and
+        the parity tests require both to agree.
         """
         self.l2_demand_traffic += 1
         slice_id = block % self._num_cores
@@ -136,39 +125,11 @@ class MemoryHierarchy:
                 policy._tick += 1
             elif mode == "zero":
                 policy.hit_array[slot] = 0
-            elif mode == "call":
-                policy.hit_slot(slot)
             slice_cache._slot_tags[slot] = 0
             return latency
         slice_cache.miss_fill(
             block, 0, slice_cache.set_index(block))
         return latency + self.dram.access(block)
-
-    # ------------------------------------------------------------------
-    # Instruction path
-    # ------------------------------------------------------------------
-    def fetch_instruction(self, core: int, block: int, tag: int = 0) -> int:
-        """Demand instruction fetch; returns latency in cycles.
-
-        The L1-I block is tagged with ``tag`` (the STREX phaseID) on every
-        touch.  On a miss the configured prefetcher may hide the L2 round
-        trip, but the L2 demand traffic is charged either way.
-        """
-        l1i = self.l1i[core]
-        hit = l1i.access(block, tag)
-        if hit:
-            self.prefetcher.on_fetch(core, block, True)
-            return l1i.config.hit_latency
-        covered = self.prefetcher.covers(core, block)
-        self.prefetcher.record(covered)
-        self.prefetcher.on_fetch(core, block, False)
-        l2_latency = self._l2_access(core, block)
-        if covered:
-            # Covered misses still pay a contention fraction of the L2
-            # round trip (the paper's partial PIF contention model).
-            fraction = self.config.core.covered_stall_fraction
-            return l1i.config.hit_latency + int(l2_latency * fraction)
-        return l1i.config.hit_latency + l2_latency
 
     # ------------------------------------------------------------------
     # Data path (MESI-lite)
@@ -220,14 +181,3 @@ class MemoryHierarchy:
                             callback: Optional[VictimCallback]) -> None:
         """Install the STREX victim-monitoring hook on one core's L1-I."""
         self.l1i[core].victim_callback = callback
-
-    def snapshot(self) -> Dict[str, object]:
-        """Aggregate counters for reports."""
-        return {
-            "l1i_misses": self.instruction_misses(),
-            "l1d_misses": self.data_misses(),
-            "l2_traffic": self.l2_demand_traffic,
-            "coherence_misses": sum(self.coherence_misses),
-            "dram": self.dram.snapshot(),
-            "noc_mean_hops": self.noc.mean_hops,
-        }

@@ -24,12 +24,9 @@ stack order as monotonic *age* stamps -- a hit or insertion is a single
 array store plus a counter bump (O(1)), and only a victim choice scans
 the set (O(assoc), paid once per eviction instead of once per access).
 
-The pre-optimization recency-stack implementations are retained as the
-``Reference*`` family (selected by ``REPRO_SIM_REFERENCE=1`` through
-:func:`make_policy`); the parity test suite runs both and asserts
-bit-identical simulation results.  Both families consume the RNG at
-exactly the same call sites, so stochastic policies (BIP/DIP/BRRIP)
-stay bit-reproducible across paths.
+The pre-optimization recency-stack implementations live on as the
+differential oracle in :mod:`repro.verify.reference`; the parity test
+suite runs both and asserts bit-identical simulation results.
 """
 
 from __future__ import annotations
@@ -37,24 +34,21 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
-from repro.fastpath import reference_mode
-
 
 class ReplacementPolicy:
     """Interface for per-set replacement state machines.
 
     Concrete policies implement the slot-based interface
     (``hit_slot``/``insert_slot``/``victim_slot``); the classic
-    ``(set_index, way)`` methods are provided on top of it.  Reference
-    implementations do the opposite: they override the classic methods
-    and inherit the slot adapters from :class:`_SetWayAdapter`.
+    ``(set_index, way)`` methods are provided on top of it.
 
     Attributes:
-        hit_mode: how the owning engine may inline the hit update --
-            ``"age"`` (store ``_tick`` into :attr:`hit_array` and bump),
-            ``"zero"`` (store 0 into :attr:`hit_array`), ``"none"``
-            (hits do not touch policy state) or ``"call"`` (invoke
-            :meth:`hit_slot`).
+        hit_mode: how the owning cache and engine inline the hit update
+            -- ``"age"`` (store ``_tick`` into :attr:`hit_array` and
+            bump), ``"zero"`` (store 0 into :attr:`hit_array`) or
+            ``"none"`` (hits do not touch policy state).  Every policy
+            sets one: the flat cache layout inlines the hit update
+            rather than calling :meth:`hit_slot`.
         hit_array: the flat per-slot array ``hit_mode`` refers to.
         insert_mode: how the owning cache may inline the fill update --
             ``"age_mru"`` (policies that always insert at MRU: store
@@ -63,7 +57,7 @@ class ReplacementPolicy:
     """
 
     name = "abstract"
-    hit_mode = "call"
+    hit_mode: str
     insert_mode = "call"
     hit_array: Optional[List[int]] = None
 
@@ -332,145 +326,6 @@ class BrripPolicy(SrripPolicy):
         return self.rrpv_max
 
 
-# ----------------------------------------------------------------------
-# Reference implementations (pre-optimization structures)
-# ----------------------------------------------------------------------
-class _SetWayAdapter(ReplacementPolicy):
-    """Slot interface expressed via the classic (set, way) methods."""
-
-    def hit_slot(self, slot: int) -> None:
-        self.on_hit(slot // self.assoc, slot % self.assoc)
-
-    def insert_slot(self, slot: int) -> None:
-        self.on_insert(slot // self.assoc, slot % self.assoc)
-
-    def victim_slot(self, set_index: int) -> int:
-        return set_index * self.assoc + self.victim_way(set_index)
-
-
-class _ReferenceStackPolicy(_SetWayAdapter):
-    """Recency stacks as per-set Python lists, ordered MRU-first.
-
-    This is the original O(assoc)-per-access implementation the age
-    stamps replaced; it remains the ground truth for the parity suite.
-    """
-
-    promote_on_hit = True
-
-    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
-        super().__init__(num_sets, assoc, rng)
-        self._stacks: List[List[int]] = [
-            list(range(assoc)) for _ in range(num_sets)
-        ]
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        if self.promote_on_hit:
-            stack = self._stacks[set_index]
-            stack.remove(way)
-            stack.insert(0, way)
-
-    def _insert_position(self, set_index: int) -> int:
-        raise NotImplementedError
-
-    def on_insert(self, set_index: int, way: int) -> None:
-        stack = self._stacks[set_index]
-        stack.remove(way)
-        stack.insert(self._insert_position(set_index), way)
-
-    def victim_way(self, set_index: int) -> int:
-        return self._stacks[set_index][-1]
-
-
-class ReferenceLruPolicy(_ReferenceStackPolicy):
-    name = "lru"
-
-    def _insert_position(self, set_index: int) -> int:
-        return 0
-
-
-class ReferenceFifoPolicy(_ReferenceStackPolicy):
-    name = "fifo"
-    promote_on_hit = False
-
-    def _insert_position(self, set_index: int) -> int:
-        return 0
-
-
-class ReferenceLipPolicy(_ReferenceStackPolicy):
-    name = "lip"
-
-    def _insert_position(self, set_index: int) -> int:
-        return self.assoc - 1
-
-
-class ReferenceBipPolicy(_ReferenceStackPolicy):
-    name = "bip"
-    epsilon = BipPolicy.epsilon
-
-    def _insert_position(self, set_index: int) -> int:
-        if self.rng.random() < self.epsilon:
-            return 0
-        return self.assoc - 1
-
-
-class ReferenceDipPolicy(_ReferenceStackPolicy):
-    name = "dip"
-    psel_bits = DipPolicy.psel_bits
-    leader_period = DipPolicy.leader_period
-
-    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
-        super().__init__(num_sets, assoc, rng)
-        self._psel = (1 << self.psel_bits) // 2
-        self._psel_max = (1 << self.psel_bits) - 1
-
-    _set_role = DipPolicy._set_role
-    on_miss = DipPolicy.on_miss
-    _bip_position = DipPolicy._bip_position
-    _insert_position = DipPolicy._insert_position
-
-
-class ReferenceSrripPolicy(_SetWayAdapter):
-    """SRRIP over per-set RRPV lists (the original nested layout)."""
-
-    name = "srrip"
-    rrpv_bits = SrripPolicy.rrpv_bits
-
-    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
-        super().__init__(num_sets, assoc, rng)
-        self.rrpv_max = (1 << self.rrpv_bits) - 1
-        self._rrpv: List[List[int]] = [
-            [self.rrpv_max] * assoc for _ in range(num_sets)
-        ]
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = 0
-
-    def _insert_rrpv(self) -> int:
-        return self.rrpv_max - 1
-
-    def on_insert(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = self._insert_rrpv()
-
-    def victim_way(self, set_index: int) -> int:
-        rrpvs = self._rrpv[set_index]
-        while True:
-            for way, value in enumerate(rrpvs):
-                if value == self.rrpv_max:
-                    return way
-            for way in range(self.assoc):
-                rrpvs[way] += 1
-
-
-class ReferenceBrripPolicy(ReferenceSrripPolicy):
-    name = "brrip"
-    epsilon = BrripPolicy.epsilon
-
-    def _insert_rrpv(self) -> int:
-        if self.rng.random() < self.epsilon:
-            return self.rrpv_max - 1
-        return self.rrpv_max
-
-
 PolicyFactory = Callable[[int, int, random.Random], ReplacementPolicy]
 
 _POLICIES: Dict[str, PolicyFactory]
@@ -488,21 +343,6 @@ _POLICIES = {
     )
 }
 
-_REFERENCE_POLICIES: Dict[str, PolicyFactory]
-_REFERENCE_POLICIES = {
-    cls.name: cls
-    for cls in (
-        ReferenceLruPolicy,
-        ReferenceFifoPolicy,
-        RandomPolicy,  # stateless: shared by both paths
-        ReferenceLipPolicy,
-        ReferenceBipPolicy,
-        ReferenceDipPolicy,
-        ReferenceSrripPolicy,
-        ReferenceBrripPolicy,
-    )
-}
-
 
 def policy_names() -> List[str]:
     """Names of all registered replacement policies."""
@@ -514,18 +354,10 @@ def make_policy(
     num_sets: int,
     assoc: int,
     rng: random.Random,
-    reference: Optional[bool] = None,
 ) -> ReplacementPolicy:
-    """Instantiate a registered replacement policy by name.
-
-    ``reference`` picks the implementation family; ``None`` (the
-    default) follows :func:`repro.fastpath.reference_mode`.
-    """
-    if reference is None:
-        reference = reference_mode()
-    registry = _REFERENCE_POLICIES if reference else _POLICIES
+    """Instantiate a registered replacement policy by name."""
     try:
-        factory = registry[name]
+        factory = _POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown replacement policy {name!r}; "

@@ -7,21 +7,18 @@ hypothetical workload of 100 transactions per type -- ten randomly chosen
 instances, each *replicated* ten times -- and comparing baseline I-MPKI
 against the synchronized execution ("CTX-Identical").
 
-This module builds that workload and runs both configurations through
-the simulation engine on a single core (STREX time-multiplexes one core;
-the baseline runs the same 100 transactions back to back).
+This module builds that workload.  The experiment itself is a pair of
+``RunSpec(mode="identical")`` cells, one per scheduler (``base`` and
+``strex`` on a single core: STREX time-multiplexes one core, the
+baseline runs the same 100 transactions back to back); see
+:mod:`repro.exp.spec`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.config import SystemConfig
-from repro.sched.base import BaselineScheduler
-from repro.sched.strex import StrexScheduler
-from repro.sim.engine import SimulationEngine
-from repro.sim.results import RunResult
 from repro.trace.trace import TransactionTrace
 from repro.workloads.base import Workload
 
@@ -51,54 +48,3 @@ def replicate_instances(
             txn_id += 1
             traces.append(clone)
     return traces
-
-
-def compare_identical(
-    workload: Workload,
-    txn_type: str,
-    config: SystemConfig,
-    instances: int = 10,
-    replicas: int = 10,
-    team_size: int = 10,
-) -> Tuple[RunResult, RunResult]:
-    """Run Fig. 4's experiment for one transaction type.
-
-    Returns:
-        (baseline result, synchronized result) on a single core.
-    """
-    single = config.with_cores(1)
-    traces = replicate_instances(workload, txn_type, instances, replicas)
-
-    baseline = SimulationEngine(single, traces, BaselineScheduler)
-    base_result = baseline.run(workload.name)
-
-    synchronized = SimulationEngine(
-        single,
-        traces,
-        lambda engine: StrexScheduler(engine, team_size=team_size),
-    )
-    sync_result = synchronized.run(workload.name)
-    return base_result, sync_result
-
-
-def identical_sweep(
-    workloads: Dict[str, Workload],
-    config: SystemConfig,
-    instances: int = 10,
-    replicas: int = 10,
-) -> Dict[str, Dict[str, Tuple[float, float]]]:
-    """Fig. 4 across all types of several workloads.
-
-    Returns:
-        ``{workload: {type: (baseline I-MPKI, CTX-identical I-MPKI)}}``.
-    """
-    results: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for name, workload in workloads.items():
-        per_type: Dict[str, Tuple[float, float]] = {}
-        for txn_type in workload.type_names():
-            base, sync = compare_identical(
-                workload, txn_type, config, instances, replicas
-            )
-            per_type[txn_type] = (base.i_mpki, sync.i_mpki)
-        results[name] = per_type
-    return results

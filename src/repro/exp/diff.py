@@ -12,9 +12,9 @@ the manifest + cache pair into an auditable history:
 * :func:`diff_cells` classifies every aligned cell as ``identical`` /
   ``changed`` / ``added`` / ``removed`` / ``missing`` and reports
   per-metric deltas under configurable absolute/relative tolerances;
-* :func:`reference_diff` runs the same specs through the fast-path
-  *and* the ``REPRO_SIM_REFERENCE=1`` kernels and asserts the
-  serialized results are byte-equal per cell — a second consumer of
+* :func:`reference_diff` runs the same specs through the fast *and*
+  the reference kernels and asserts the serialized results are
+  byte-equal per cell — a second consumer of
   the reference path beyond the parity tests.
 
 Metric vectors, not raw bytes, are what get compared: a
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -584,32 +583,22 @@ def reference_diff(specs: Sequence[RunSpec]) -> DiffReport:
     parity guarantee of DESIGN.md decision 12), which is stricter than
     the metric vector: two results whose flattened metrics agree but
     whose latency lists differ still fail.  The A side is the fast
-    path, the B side ``REPRO_SIM_REFERENCE=1``.
+    kernel, the B side the reference kernel.
     """
     from repro.exp.runner import execute_spec
-    from repro.fastpath import ENV_VAR
 
     report = DiffReport()
-    saved = os.environ.get(ENV_VAR)
-    try:
-        for spec in specs:
-            os.environ.pop(ENV_VAR, None)
-            fast = execute_spec(spec)
-            os.environ[ENV_VAR] = "1"
-            reference = execute_spec(spec)
-            fast_cell = Cell.from_result(spec, fast)
-            ref_cell = Cell.from_result(spec, reference)
-            diff = _compare_cell(fast_cell, ref_cell, Tolerance())
-            if diff.status == "identical" and \
-                    result_blob(fast) != result_blob(reference):
-                diff = dataclasses.replace(
-                    diff, status="changed",
-                    note="serialized results differ beyond the "
-                         "metric vector")
-            report.cells.append(diff)
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = saved
+    for spec in specs:
+        fast = execute_spec(spec)
+        reference = execute_spec(spec, reference=True)
+        fast_cell = Cell.from_result(spec, fast)
+        ref_cell = Cell.from_result(spec, reference)
+        diff = _compare_cell(fast_cell, ref_cell, Tolerance())
+        if diff.status == "identical" and \
+                result_blob(fast) != result_blob(reference):
+            diff = dataclasses.replace(
+                diff, status="changed",
+                note="serialized results differ beyond the "
+                     "metric vector")
+        report.cells.append(diff)
     return report

@@ -114,7 +114,7 @@ def _workload_traces(spec: RunSpec, l1i_blocks: int) -> Tuple[str, list]:
     return memo
 
 
-def execute_spec(spec: RunSpec):
+def execute_spec(spec: RunSpec, reference: bool = False):
     """Execute one spec end to end (config, workload, traces, run).
 
     Dispatches on ``spec.mode`` (see :data:`repro.exp.spec.MODES`):
@@ -123,7 +123,8 @@ def execute_spec(spec: RunSpec):
     :class:`FootprintResult` — every mode's result type is registered
     in :data:`repro.exp.cache.RESULT_TYPES` so it caches identically.
     Trace generation is memoized per process (see
-    :func:`_workload_traces`).
+    :func:`_workload_traces`).  ``reference`` runs the simulation modes
+    on the reference kernel (``repro diff --reference``).
     """
     config = spec.build_config()
     workload_name, traces = _workload_traces(spec, config.l1i_blocks)
@@ -142,6 +143,7 @@ def execute_spec(spec: RunSpec):
         workload_name,
         prefetcher=spec.prefetcher,
         team_size=spec.team_size,
+        reference=reference,
     )
 
 

@@ -1,7 +1,7 @@
 """Tracked performance benchmarks for the simulation kernel.
 
 ``python -m repro perf`` measures the specialized engine loops against
-the reference implementation (``REPRO_SIM_REFERENCE=1``) on identical
+the reference kernel (:mod:`repro.verify.reference`) on identical
 traces, verifies the two paths still agree bit-for-bit, and writes the
 numbers to ``BENCH_sim.json`` so regressions show up in review.
 """

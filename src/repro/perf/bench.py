@@ -22,7 +22,6 @@ spots.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from pathlib import Path
@@ -30,7 +29,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.config import SCALES
-from repro.fastpath import ENV_VAR
 from repro.sim.api import SCHEDULERS, simulate
 from repro.workloads import WORKLOADS
 
@@ -38,16 +36,10 @@ from repro.workloads import WORKLOADS
 DEFAULT_SCHEDULERS = ("base", "strex", "slicc", "hybrid", "smt")
 
 
-def _set_reference(on: bool) -> None:
-    if on:
-        os.environ[ENV_VAR] = "1"
-    else:
-        os.environ.pop(ENV_VAR, None)
-
-
-def _time_run(config, traces, scheduler: str, workload: str) -> float:
+def _time_run(config, traces, scheduler: str, workload: str,
+              reference: bool = False) -> float:
     start = time.perf_counter()
-    simulate(config, traces, scheduler, workload)
+    simulate(config, traces, scheduler, workload, reference=reference)
     return time.perf_counter() - start
 
 
@@ -92,60 +84,46 @@ def run_bench(
     suite = WORKLOADS[workload](config.l1i_blocks, seed)
     traces = suite.generate_mix(transactions, seed=seed)
     events = sum(len(trace) for trace in traces)
-    saved = os.environ.get(ENV_VAR)
-    bench_span = obs.span(
-        "perf.bench", scale=scale, workload=workload,
-        cores=config.num_cores)
-    try:
-        with bench_span:
-            # Warm both paths and check parity, on every scheduler
-            # whose number the report carries, while doing so.
-            mismatched = []
-            with obs.span("perf.warmup"):
-                for name in dict.fromkeys(("base",) + schedulers):
-                    _set_reference(False)
-                    fast_result = simulate(
-                        config, traces, name, workload)
-                    _set_reference(True)
-                    ref_result = simulate(
-                        config, traces, name, workload)
-                    if fast_result.to_dict() != ref_result.to_dict():
-                        mismatched.append(name)
-            parity = not mismatched
-            if not parity:
-                raise AssertionError(
-                    f"fast and reference paths disagree on "
-                    f"{', '.join(mismatched)}; fix parity before "
-                    f"benchmarking (run the tests in "
-                    f"tests/test_parity.py)")
-            # Timed repeats, interleaved so host drift hits both
-            # series alike.
-            fast_wall = []
-            ref_wall = []
-            with obs.span("perf.timed", repeats=repeats):
-                for _ in range(repeats):
-                    _set_reference(False)
-                    fast_wall.append(
-                        _time_run(config, traces, "base", workload))
-                    _set_reference(True)
-                    ref_wall.append(
-                        _time_run(config, traces, "base", workload))
-            _set_reference(False)
-            scheduler_wall = {name: [] for name in schedulers}
-            with obs.span("perf.schedulers", repeats=repeats):
-                for _ in range(repeats):
-                    for name in schedulers:
-                        scheduler_wall[name].append(
-                            _time_run(config, traces, name, workload))
-            kernel_counters = None
-            if trace_counters:
-                kernel_counters = _traced_kernel_counters(
-                    config, traces, workload)
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = saved
+    with obs.span("perf.bench", scale=scale, workload=workload,
+                  cores=config.num_cores):
+        # Warm both kernels and check parity, on every scheduler whose
+        # number the report carries, while doing so.
+        mismatched = []
+        with obs.span("perf.warmup"):
+            for name in dict.fromkeys(("base",) + schedulers):
+                fast_result = simulate(config, traces, name, workload)
+                ref_result = simulate(config, traces, name, workload,
+                                      reference=True)
+                if fast_result.to_dict() != ref_result.to_dict():
+                    mismatched.append(name)
+        parity = not mismatched
+        if not parity:
+            raise AssertionError(
+                f"fast and reference paths disagree on "
+                f"{', '.join(mismatched)}; fix parity before "
+                f"benchmarking (run the tests in "
+                f"tests/test_parity.py)")
+        # Timed repeats, interleaved so host drift hits both series
+        # alike.
+        fast_wall = []
+        ref_wall = []
+        with obs.span("perf.timed", repeats=repeats):
+            for _ in range(repeats):
+                fast_wall.append(
+                    _time_run(config, traces, "base", workload))
+                ref_wall.append(
+                    _time_run(config, traces, "base", workload,
+                              reference=True))
+        scheduler_wall = {name: [] for name in schedulers}
+        with obs.span("perf.schedulers", repeats=repeats):
+            for _ in range(repeats):
+                for name in schedulers:
+                    scheduler_wall[name].append(
+                        _time_run(config, traces, name, workload))
+        kernel_counters = None
+        if trace_counters:
+            kernel_counters = _traced_kernel_counters(
+                config, traces, workload)
     fast_s = min(fast_wall)
     ref_s = min(ref_wall)
     per_scheduler = {name: round(min(walls), 4)

@@ -77,6 +77,7 @@ def simulate(
     workload_name: str = "",
     prefetcher: str = "none",
     team_size: Optional[int] = None,
+    reference: bool = False,
 ) -> RunResult:
     """Run ``traces`` under a named scheduler and prefetcher.
 
@@ -91,6 +92,8 @@ def simulate(
             (the hybrid forwards it to its STREX delegate); passing it
             with any other scheduler raises :class:`ValueError` rather
             than silently ignoring it.
+        reference: run the reference kernel instead of the fast one
+            (differential testing; the results must be byte-equal).
 
     Returns:
         The run's :class:`RunResult`.
@@ -113,7 +116,8 @@ def simulate(
         prefetcher_factory = prefetcher_cls
 
     engine = SimulationEngine(
-        config, traces, scheduler_factory, prefetcher_factory
+        config, traces, scheduler_factory, prefetcher_factory,
+        reference=reference,
     )
     result = engine.run(workload_name)
     if prefetcher != "none":

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional
 from repro import obs
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.config import SystemConfig
-from repro.fastpath import reference_mode
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
 from repro.sim.results import RunResult
 from repro.sim.thread import TxnThread
@@ -40,6 +39,8 @@ class SimulationEngine:
         traces: transaction traces, in arrival order.
         scheduler_factory: ``factory(engine) -> Scheduler``.
         prefetcher_factory: optional ``factory(num_cores) -> prefetcher``.
+        reference: run the reference kernel -- the differential oracle
+            of :mod:`repro.verify.reference` -- instead of the fast one.
     """
 
     #: Default number of events per core visit.
@@ -53,6 +54,7 @@ class SimulationEngine:
         prefetcher_factory: Optional[
             Callable[[int], InstructionPrefetcher]
         ] = None,
+        reference: bool = False,
     ):
         if not traces:
             raise ValueError("need at least one trace")
@@ -63,18 +65,22 @@ class SimulationEngine:
             else NoPrefetcher(config.num_cores)
         )
         self.prefetcher_active = prefetcher.name != "none"
-        # Kernel selection is latched at construction so one simulation
-        # never mixes the fast and reference paths; the hierarchy below
-        # reads the same flag when choosing its cache layout.
-        self._fast_kernel = not reference_mode()
-        self.hier = MemoryHierarchy(config, prefetcher)
+        # The kernel is chosen here, once: the hierarchy fixes the cache
+        # layout, and the loops below follow it.
+        self.reference = reference
+        if reference:
+            from repro.verify.reference import ReferenceHierarchy
+
+            self.hier = ReferenceHierarchy(config, prefetcher)
+        else:
+            self.hier = MemoryHierarchy(config, prefetcher)
         # The specialized loop requires always-MRU age policies
         # (LRU/FIFO) on the L1-I and L2 so fills can be inlined as
         # plain array stores, and no prefetcher.  Every other engine
         # (non-age policies, prefetchers, the reference kernel) runs
         # the general loop.
         self._age_kernel = (
-            self._fast_kernel
+            not reference
             and not self.prefetcher_active
             and self.hier.l1i[0].policy.insert_mode == "age_mru"
             and self.hier.l2[0].policy.insert_mode == "age_mru"
@@ -177,9 +183,9 @@ class SimulationEngine:
         """The general event loop (also the reference kernel).
 
         Handles every feature: prefetchers, STREX switch monitoring,
-        SLICC miss logging/bounding.  ``REPRO_SIM_REFERENCE=1`` routes
-        all replay through this loop over the reference cache layout;
-        the age loop below must match it bit for bit.
+        SLICC miss logging/bounding.  The reference kernel routes all
+        replay through this loop over the reference cache layout; the
+        age loop below must match it bit for bit.
         """
         trace = thread.trace
         iblocks, ilens, dblocks, dwrites = trace.event_columns()
@@ -193,7 +199,7 @@ class SimulationEngine:
         # inlined: a method call per event would cost the non-age
         # policies several percent of a cell.  The reference layout
         # always calls access().
-        flat = not l1i._reference
+        flat = not self.reference
         if flat:
             i_where_get = l1i._where.get
             i_tags = l1i._slot_tags
@@ -231,8 +237,6 @@ class SimulationEngine:
                         i_pol._tick = tick + 1
                     elif i_mode == "zero":
                         i_hit_array[slot] = 0
-                    elif i_mode == "call":
-                        i_pol.hit_slot(slot)
                 else:
                     i_miss_fill(iblock, tag, iblock & i_mask
                                 if i_mask is not None else iblock % i_sets)
@@ -290,7 +294,7 @@ class SimulationEngine:
 
         Everything here is structurally constant for the lifetime of the
         engine -- cache storage arrays are mutated in place, never
-        rebound (:meth:`Cache.flush` honours this) -- so the loop pays
+        rebound -- so the loop pays
         one tuple unpack per slice instead of dozens of attribute
         chases.  The L1-I victim callback is the one dynamic piece
         (STREX installs and removes it at runtime) and is fetched per
@@ -514,8 +518,6 @@ class SimulationEngine:
                             d_pol._tick = tick + 1
                         elif d_mode == "zero":
                             d_ages[slot] = 0
-                        elif d_mode == "call":
-                            d_pol.hit_slot(slot)
                     else:
                         cycles += (
                             access_data(core, dblock, dwrite)
@@ -604,7 +606,7 @@ class SimulationEngine:
             kernel=(
                 "age"
                 if self._age_kernel
-                else ("fast" if self._fast_kernel else "reference")
+                else ("reference" if self.reference else "fast")
             ),
         )
         with span as sp:

@@ -1,10 +1,15 @@
-"""repro.verify — invariant oracles + property-based differential fuzzing.
+"""repro.verify — invariant oracles, the reference kernel, and
+property-based differential fuzzing.
 
-Three layers (see DESIGN.md, decision 15):
+Four layers (see DESIGN.md, decisions 12 and 15):
 
 * :mod:`repro.verify.oracles` — ``REPRO_SIM_CHECK=1`` arms in-engine
   invariant checks (conservation, monotonicity, phase-tag ranges,
   result reconciliation); breaches raise :class:`InvariantViolation`.
+* :mod:`repro.verify.reference` — the reference kernel's cache layer
+  (per-set-dict caches, recency-stack policies, the generic L2 route),
+  built by engines constructed with ``reference=True``.  It is the
+  differential oracle for the fast kernel.
 * :mod:`repro.verify.generators` — seeded hostile-case generation
   (:class:`FuzzCase` / :class:`CaseGenerator`), JSON round-trippable.
 * :mod:`repro.verify.harness` — the differential harness
@@ -14,7 +19,9 @@ Three layers (see DESIGN.md, decision 15):
 Import note: the oracle layer is imported *eagerly* because
 ``repro.sim.engine`` depends on it at module level; the generator and
 harness layers import the engine back (via ``repro.sim.api``), so they
-load lazily (PEP 562) to keep ``engine -> oracles`` cycle-free.
+load lazily (PEP 562) to keep ``engine -> oracles`` cycle-free.  The
+engine imports :mod:`repro.verify.reference` itself, and only when it
+is asked for the reference kernel.
 """
 
 from repro.verify.oracles import (

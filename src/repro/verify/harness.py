@@ -1,7 +1,7 @@
 """Differential fuzz harness: fast vs reference kernel, oracles armed.
 
 :func:`run_case` is the heart: one :class:`FuzzCase` runs through the
-fast-path kernel *and* ``REPRO_SIM_REFERENCE=1``, on the **same trace
+fast kernel *and* the reference kernel, on the **same trace
 objects** (trace generation is seeded but the parity rule requires the
 two kernels to consume identical inputs in one process), with
 ``REPRO_SIM_CHECK=1`` arming the invariant oracles in both.  The bar
@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exp.diff import metric_vector, result_blob
-from repro.fastpath import CHECK_ENV, ENV_VAR
 from repro.sim.api import simulate
 from repro.verify.generators import (
     SYNTHETIC,
@@ -33,7 +32,7 @@ from repro.verify.generators import (
     CasePools,
     FuzzCase,
 )
-from repro.verify.oracles import InvariantViolation
+from repro.verify.oracles import CHECK_ENV, InvariantViolation
 
 #: Outcome statuses, in severity order.
 STATUS_OK = "ok"
@@ -73,14 +72,9 @@ class CaseOutcome:
 
 def _simulate_case(case: FuzzCase, config, traces, reference: bool,
                    check: bool):
-    """One kernel run with the mode flags pinned, then restored."""
-    saved_ref = os.environ.get(ENV_VAR)
+    """One kernel run with the oracle switch pinned, then restored."""
     saved_check = os.environ.get(CHECK_ENV)
     try:
-        if reference:
-            os.environ[ENV_VAR] = "1"
-        else:
-            os.environ.pop(ENV_VAR, None)
         if check:
             os.environ[CHECK_ENV] = "1"
         else:
@@ -90,14 +84,13 @@ def _simulate_case(case: FuzzCase, config, traces, reference: bool,
             workload_name=case.workload,
             prefetcher=case.prefetcher,
             team_size=case.team_size,
+            reference=reference,
         )
     finally:
-        for name, saved in ((ENV_VAR, saved_ref),
-                            (CHECK_ENV, saved_check)):
-            if saved is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = saved
+        if saved_check is None:
+            os.environ.pop(CHECK_ENV, None)
+        else:
+            os.environ[CHECK_ENV] = saved_check
 
 
 def _mismatch_detail(fast, reference) -> str:

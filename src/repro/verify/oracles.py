@@ -27,9 +27,9 @@ Two hook points:
   counters).
 
 The module is imported by ``repro.sim.engine`` at module level, so it
-must stay dependency-light (stdlib + :mod:`repro.fastpath` only); the
-generators and differential harness live in sibling modules that are
-loaded lazily.
+must stay dependency-light (stdlib only); the generators, the
+differential harness and the reference kernel live in sibling modules
+that are loaded lazily.
 
 Checking is opt-in because the finalize pass walks every cache's
 resident blocks; the fuzz harness (``python -m repro fuzz``) and the
@@ -38,9 +38,8 @@ engine edge-case tests arm it, production sweeps do not.
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, List, Optional
-
-from repro.fastpath import CHECK_ENV, check_mode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import SimulationEngine
@@ -53,6 +52,17 @@ __all__ = [
     "check_mode",
     "make_checker",
 ]
+
+
+#: Environment variable arming the engine's invariant oracles.  Any
+#: value other than empty/"0" enables them.  An environment variable,
+#: not an argument, so that it reaches pool workers.
+CHECK_ENV = "REPRO_SIM_CHECK"
+
+
+def check_mode() -> bool:
+    """True when the engine's invariant oracles are armed."""
+    return os.environ.get(CHECK_ENV, "") not in ("", "0")
 
 
 class InvariantViolation(AssertionError):
@@ -68,9 +78,9 @@ class InvariantViolation(AssertionError):
 def make_checker(engine: "SimulationEngine") -> Optional["InvariantChecker"]:
     """The checker an engine should carry: one when armed, else None.
 
-    The engine calls this once at construction (the same latching rule
-    as the kernel choice), so flipping ``REPRO_SIM_CHECK`` mid-run
-    never arms half a simulation.
+    The engine calls this once at construction (as it chooses its
+    kernel), so flipping ``REPRO_SIM_CHECK`` mid-run never arms half a
+    simulation.
     """
     return InvariantChecker(engine) if check_mode() else None
 

@@ -1,0 +1,318 @@
+"""The reference kernel's cache layer: the differential oracle.
+
+``SimulationEngine(..., reference=True)`` (and everything that forwards
+``reference=`` to it) builds a :class:`ReferenceHierarchy` instead of a
+:class:`~repro.cache.hierarchy.MemoryHierarchy`.  Its caches keep the
+original per-set-dict layout (:class:`ReferenceCache`) driven by the
+original recency-stack and nested-RRPV replacement policies (the
+``Reference*Policy`` family), and its L2 access takes the generic
+``noc.latency`` + :meth:`Cache.access` route.  The engine runs it
+through the general event loop, which calls :meth:`ReferenceCache.access`
+per instruction fetch instead of probing a flat layout inline.
+
+Nothing here is on a production path.  It exists so the parity tests,
+``repro diff --reference``, the fuzz harness and ``repro perf`` can
+require byte-equal results between two independent implementations of
+the cache layer (DESIGN.md, decision 12).  Both families consume the
+RNG at exactly the same call sites, so stochastic policies
+(BIP/DIP/BRRIP) stay bit-reproducible across kernels.
+
+This module is imported lazily, only by engines built with
+``reference=True``.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, Iterable, Iterator, List, Optional
+
+from repro.cache.cache import Cache, VictimCallback
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.replacement import (
+    BipPolicy,
+    BrripPolicy,
+    DipPolicy,
+    PolicyFactory,
+    RandomPolicy,
+    ReplacementPolicy,
+    SrripPolicy,
+)
+from repro.config import CacheConfig
+
+
+# ----------------------------------------------------------------------
+# Replacement policies (pre-optimization structures)
+# ----------------------------------------------------------------------
+class _SetWayAdapter(ReplacementPolicy):
+    """Slot interface expressed via the classic (set, way) methods."""
+
+    def hit_slot(self, slot: int) -> None:
+        self.on_hit(slot // self.assoc, slot % self.assoc)
+
+    def insert_slot(self, slot: int) -> None:
+        self.on_insert(slot // self.assoc, slot % self.assoc)
+
+    def victim_slot(self, set_index: int) -> int:
+        return set_index * self.assoc + self.victim_way(set_index)
+
+
+class _ReferenceStackPolicy(_SetWayAdapter):
+    """Recency stacks as per-set Python lists, ordered MRU-first.
+
+    This is the original O(assoc)-per-access implementation the age
+    stamps replaced; it remains the ground truth for the parity suite.
+    """
+
+    promote_on_hit = True
+
+    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
+        super().__init__(num_sets, assoc, rng)
+        self._stacks: List[List[int]] = [
+            list(range(assoc)) for _ in range(num_sets)
+        ]
+
+    def on_hit(self, set_index: int, way: int) -> None:
+        if self.promote_on_hit:
+            stack = self._stacks[set_index]
+            stack.remove(way)
+            stack.insert(0, way)
+
+    def _insert_position(self, set_index: int) -> int:
+        raise NotImplementedError
+
+    def on_insert(self, set_index: int, way: int) -> None:
+        stack = self._stacks[set_index]
+        stack.remove(way)
+        stack.insert(self._insert_position(set_index), way)
+
+    def victim_way(self, set_index: int) -> int:
+        return self._stacks[set_index][-1]
+
+
+class ReferenceLruPolicy(_ReferenceStackPolicy):
+    name = "lru"
+
+    def _insert_position(self, set_index: int) -> int:
+        return 0
+
+
+class ReferenceFifoPolicy(_ReferenceStackPolicy):
+    name = "fifo"
+    promote_on_hit = False
+
+    def _insert_position(self, set_index: int) -> int:
+        return 0
+
+
+class ReferenceLipPolicy(_ReferenceStackPolicy):
+    name = "lip"
+
+    def _insert_position(self, set_index: int) -> int:
+        return self.assoc - 1
+
+
+class ReferenceBipPolicy(_ReferenceStackPolicy):
+    name = "bip"
+    epsilon = BipPolicy.epsilon
+
+    def _insert_position(self, set_index: int) -> int:
+        if self.rng.random() < self.epsilon:
+            return 0
+        return self.assoc - 1
+
+
+class ReferenceDipPolicy(_ReferenceStackPolicy):
+    name = "dip"
+    psel_bits = DipPolicy.psel_bits
+    leader_period = DipPolicy.leader_period
+
+    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
+        super().__init__(num_sets, assoc, rng)
+        self._psel = (1 << self.psel_bits) // 2
+        self._psel_max = (1 << self.psel_bits) - 1
+
+    _set_role = DipPolicy._set_role
+    on_miss = DipPolicy.on_miss
+    _bip_position = DipPolicy._bip_position
+    _insert_position = DipPolicy._insert_position
+
+
+class ReferenceSrripPolicy(_SetWayAdapter):
+    """SRRIP over per-set RRPV lists (the original nested layout)."""
+
+    name = "srrip"
+    rrpv_bits = SrripPolicy.rrpv_bits
+
+    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
+        super().__init__(num_sets, assoc, rng)
+        self.rrpv_max = (1 << self.rrpv_bits) - 1
+        self._rrpv: List[List[int]] = [
+            [self.rrpv_max] * assoc for _ in range(num_sets)
+        ]
+
+    def on_hit(self, set_index: int, way: int) -> None:
+        self._rrpv[set_index][way] = 0
+
+    def _insert_rrpv(self) -> int:
+        return self.rrpv_max - 1
+
+    def on_insert(self, set_index: int, way: int) -> None:
+        self._rrpv[set_index][way] = self._insert_rrpv()
+
+    def victim_way(self, set_index: int) -> int:
+        rrpvs = self._rrpv[set_index]
+        while True:
+            for way, value in enumerate(rrpvs):
+                if value == self.rrpv_max:
+                    return way
+            for way in range(self.assoc):
+                rrpvs[way] += 1
+
+
+class ReferenceBrripPolicy(ReferenceSrripPolicy):
+    name = "brrip"
+    epsilon = BrripPolicy.epsilon
+
+    def _insert_rrpv(self) -> int:
+        if self.rng.random() < self.epsilon:
+            return self.rrpv_max - 1
+        return self.rrpv_max
+
+
+_REFERENCE_POLICIES: Dict[str, PolicyFactory]
+_REFERENCE_POLICIES = {
+    cls.name: cls
+    for cls in (
+        ReferenceLruPolicy,
+        ReferenceFifoPolicy,
+        RandomPolicy,  # stateless: shared by both kernels
+        ReferenceLipPolicy,
+        ReferenceBipPolicy,
+        ReferenceDipPolicy,
+        ReferenceSrripPolicy,
+        ReferenceBrripPolicy,
+    )
+}
+
+
+# ----------------------------------------------------------------------
+# Cache and hierarchy
+# ----------------------------------------------------------------------
+class ReferenceCache(Cache):
+    """The pre-optimization per-set-dict layout (parity ground truth).
+
+    Pairs with the reference replacement policies so the whole original
+    path stays intact for differential testing.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        rng: Optional[random.Random] = None,
+        victim_callback: Optional[VictimCallback] = None,
+        name: str = "cache",
+    ):
+        super().__init__(config, rng=rng, victim_callback=victim_callback,
+                         name=name)
+        # The base class validated the name and built the flat policy;
+        # swap in the reference one on the same RNG object, so both
+        # kernels draw at the same call sites.
+        self.policy = _REFERENCE_POLICIES[config.replacement](
+            self.num_sets, self.assoc, self.policy.rng)
+
+    def _init_storage(self) -> None:
+        # Per-set mapping of resident block -> way, plus per-way arrays
+        # of the resident block (or None) and its metadata tag.
+        self._lookup: List[Dict[int, int]] = [
+            {} for _ in range(self.num_sets)
+        ]
+        self._blocks: List[List[Optional[int]]] = [
+            [None] * self.assoc for _ in range(self.num_sets)
+        ]
+        self._tags: List[List[int]] = [
+            [0] * self.assoc for _ in range(self.num_sets)
+        ]
+
+    def contains(self, block: int) -> bool:
+        return block in self._lookup[self.set_index(block)]
+
+    def count_resident(self, blocks: Iterable[int]) -> int:
+        return sum(map(self.contains, blocks))
+
+    def tag_of(self, block: int) -> Optional[int]:
+        set_index = self.set_index(block)
+        way = self._lookup[set_index].get(block)
+        if way is None:
+            return None
+        return self._tags[set_index][way]
+
+    def resident_blocks(self) -> Iterator[int]:
+        for mapping in self._lookup:
+            yield from mapping
+
+    @property
+    def occupancy(self) -> int:
+        return sum(len(mapping) for mapping in self._lookup)
+
+    def access(self, block: int, tag: int = 0) -> bool:
+        set_index = self.set_index(block)
+        way = self._lookup[set_index].get(block)
+        if way is not None:
+            self.stats.hits += 1
+            self.policy.on_hit(set_index, way)
+            self._tags[set_index][way] = tag
+            return True
+        self.stats.misses += 1
+        self.policy.on_miss(set_index)
+        self._fill(set_index, block, tag)
+        return False
+
+    def _fill(self, set_index: int, block: int, tag: int) -> None:
+        mapping = self._lookup[set_index]
+        blocks = self._blocks[set_index]
+        if len(mapping) < self.assoc:
+            way = blocks.index(None)
+        else:
+            way = self.policy.victim_way(set_index)
+            victim = blocks[way]
+            assert victim is not None
+            if self.victim_callback is not None:
+                self.victim_callback(victim, self._tags[set_index][way])
+            self.stats.evictions += 1
+            del mapping[victim]
+        blocks[way] = block
+        self._tags[set_index][way] = tag
+        mapping[block] = way
+        self.policy.on_insert(set_index, way)
+
+    def invalidate(self, block: int) -> bool:
+        set_index = self.set_index(block)
+        way = self._lookup[set_index].pop(block, None)
+        if way is None:
+            return False
+        self._blocks[set_index][way] = None
+        self.stats.invalidations += 1
+        return True
+
+
+class ReferenceHierarchy(MemoryHierarchy):
+    """:class:`MemoryHierarchy` over :class:`ReferenceCache` everywhere,
+    with the generic L2 access.
+
+    The L2 route charges ``2 * noc.latency`` plus the slice's hit
+    latency and goes through :meth:`ReferenceCache.access`; it never
+    reads the fast hierarchy's precomputed round-trip table, so a bug
+    in that table diverges the two kernels instead of hitting both.
+    """
+
+    cache_class = ReferenceCache
+
+    def _l2_access(self, core: int, block: int) -> int:
+        self.l2_demand_traffic += 1
+        slice_id = self.home_slice(block)
+        slice_cache = self.l2[slice_id]
+        latency = 2 * self.noc.latency(core, slice_id)
+        latency += slice_cache.config.hit_latency
+        if not slice_cache.access(block):
+            latency += self.dram.access(block)
+        return latency

@@ -215,9 +215,3 @@ class Workload:
             self.generate_trace(type_name, seed=rng.randrange(2**31))
             for _ in range(count)
         ]
-
-
-def run_wrapper(recorder: TraceRecorder, wrappers: Dict[str, CodeRegion],
-                name: str) -> None:
-    """Execute an action's wrapper region (helper for workload bodies)."""
-    recorder.execute(wrappers[name])

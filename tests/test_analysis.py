@@ -6,7 +6,6 @@ from repro.analysis.latency import LatencyDistribution, compare_distributions
 from repro.analysis.overlap import BANDS, OverlapAnalysis, summarize
 from repro.analysis.report import (
     bar_chart,
-    comparison_summary,
     format_table,
     grouped_bar_chart,
     percent_delta,
@@ -135,11 +134,6 @@ class TestReport:
     def test_percent_delta(self):
         assert percent_delta(10, 5) == -50.0
         assert percent_delta(0, 5) == 0.0
-
-    def test_comparison_summary(self):
-        text = comparison_summary({"base": 2.0, "strex": 3.0}, "base")
-        assert "(baseline)" in text
-        assert "+50.0%" in text
 
 
 class TestBarChartScaling:

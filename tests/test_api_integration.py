@@ -3,7 +3,9 @@
 import pytest
 
 from repro import SCHEDULERS, simulate, tiny_scale
-from repro.core.identical import compare_identical, replicate_instances
+from repro.core.identical import replicate_instances
+from repro.exp.runner import execute_spec
+from repro.exp.spec import RunSpec
 from repro.sim.api import PREFETCHERS
 
 
@@ -148,11 +150,15 @@ class TestIdenticalModule:
         assert traces[0].iblocks == traces[1].iblocks
         assert traces[0].iblocks is traces[1].iblocks  # shallow copy
 
-    def test_compare_identical_reduces_mpki(self, tiny_tpcc):
-        base, sync = compare_identical(
-            tiny_tpcc, "Payment", tiny_scale(num_cores=1),
-            instances=3, replicas=4, team_size=4,
-        )
+    def test_compare_identical_reduces_mpki(self):
+        # Fig. 4's pair of cells: the baseline and a STREX team over
+        # the same replicated instances, on one core.
+        common = dict(workload="tpcc", mode="identical",
+                      txn_type="Payment", transactions=3, replicas=4,
+                      scale="tiny", cores=1)
+        base = execute_spec(RunSpec(scheduler="base", **common))
+        sync = execute_spec(RunSpec(scheduler="strex", team_size=4,
+                                    **common))
         # On the 32-block tiny cache the lead's segment overshoot
         # cascades through the LRU sets, so the reduction is smaller
         # than at realistic cache sizes (the Fig. 4 bench checks the

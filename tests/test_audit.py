@@ -411,14 +411,11 @@ class TestReferenceDiff:
         assert report.exit_code(strict=True) == 0
 
     def test_kernel_divergence_is_flagged(self, monkeypatch):
-        import os
-
-        from repro.fastpath import ENV_VAR
         real = execute_spec
 
-        def skewed(spec):
-            result = real(spec)
-            if os.environ.get(ENV_VAR) == "1":
+        def skewed(spec, reference=False):
+            result = real(spec, reference=reference)
+            if reference:
                 result = type(result).from_dict(
                     {**result.to_dict(),
                      "cycles": result.cycles + 1})
@@ -432,14 +429,11 @@ class TestReferenceDiff:
 
     def test_divergence_beyond_metric_vector_is_flagged(self,
                                                         monkeypatch):
-        import os
-
-        from repro.fastpath import ENV_VAR
         real = execute_spec
 
-        def skewed_tail(spec):
-            result = real(spec)
-            if os.environ.get(ENV_VAR) == "1":
+        def skewed_tail(spec, reference=False):
+            result = real(spec, reference=reference)
+            if reference:
                 # Change a field the metric vector excludes, so only
                 # the byte-equality pass can catch the divergence.
                 data = result.to_dict()

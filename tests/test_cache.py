@@ -7,27 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import Cache, ReferenceCache
+from repro.cache.cache import Cache
 from repro.config import CacheConfig
+from repro.verify.reference import ReferenceCache
 
 
-def make_cache(size=1024, assoc=4, replacement="lru", callback=None):
+def new_cache(size=1024, assoc=4, replacement="lru", callback=None):
     return Cache(CacheConfig(size, assoc=assoc, replacement=replacement),
                  rng=random.Random(7), victim_callback=callback)
 
 
 class TestBasicAccess:
     def test_first_access_misses(self):
-        cache = make_cache()
+        cache = new_cache()
         assert cache.access(100) is False
 
     def test_second_access_hits(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(100)
         assert cache.access(100) is True
 
     def test_stats_count_hits_and_misses(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(1)
         cache.access(1)
         cache.access(2)
@@ -36,21 +37,21 @@ class TestBasicAccess:
         assert cache.stats.accesses == 3
 
     def test_miss_rate(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(1)
         cache.access(1)
         assert cache.stats.miss_rate == 0.5
 
     def test_miss_rate_empty(self):
-        assert make_cache().stats.miss_rate == 0.0
+        assert new_cache().stats.miss_rate == 0.0
 
     def test_mpki(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(1)
         assert cache.stats.mpki(2000) == 0.5
 
     def test_contains_does_not_touch_stats(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(5)
         before = cache.stats.snapshot()
         assert cache.contains(5)
@@ -58,20 +59,20 @@ class TestBasicAccess:
         assert cache.stats.snapshot() == before
 
     def test_occupancy(self):
-        cache = make_cache()
+        cache = new_cache()
         for block in range(10):
             cache.access(block)
         assert cache.occupancy == 10
 
     def test_set_mapping_power_of_two(self):
-        cache = make_cache(size=1024, assoc=4)  # 4 sets
+        cache = new_cache(size=1024, assoc=4)  # 4 sets
         assert cache.set_index(5) == 1
         assert cache.set_index(7) == 3
 
 
 class TestEviction:
     def test_capacity_eviction(self):
-        cache = make_cache(size=256, assoc=4)  # 4 blocks, 1 set
+        cache = new_cache(size=256, assoc=4)  # 4 blocks, 1 set
         for block in range(5):
             cache.access(block)
         assert cache.occupancy == 4
@@ -80,7 +81,7 @@ class TestEviction:
 
     def test_victim_callback_receives_block_and_tag(self):
         victims = []
-        cache = make_cache(size=256, assoc=4,
+        cache = new_cache(size=256, assoc=4,
                            callback=lambda b, t: victims.append((b, t)))
         for block in range(4):
             cache.access(block, tag=9)
@@ -89,14 +90,14 @@ class TestEviction:
 
     def test_no_callback_on_invalidate(self):
         victims = []
-        cache = make_cache(callback=lambda b, t: victims.append(b))
+        cache = new_cache(callback=lambda b, t: victims.append(b))
         cache.access(1)
         cache.invalidate(1)
         assert victims == []
         assert cache.stats.invalidations == 1
 
     def test_lru_order_respected_across_sets(self):
-        cache = make_cache(size=512, assoc=4)  # 2 sets
+        cache = new_cache(size=512, assoc=4)  # 2 sets
         # Fill set 0 (even blocks).
         for block in (0, 2, 4, 6):
             cache.access(block)
@@ -108,61 +109,18 @@ class TestEviction:
 
 class TestTags:
     def test_access_sets_tag(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(7, tag=3)
         assert cache.tag_of(7) == 3
 
     def test_hit_overwrites_tag(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(7, tag=3)
         cache.access(7, tag=4)
         assert cache.tag_of(7) == 4
 
     def test_tag_of_absent_block_is_none(self):
-        assert make_cache().tag_of(1) is None
-
-    def test_set_tag(self):
-        cache = make_cache()
-        cache.access(7)
-        assert cache.set_tag(7, 5) is True
-        assert cache.tag_of(7) == 5
-
-    def test_set_tag_absent(self):
-        assert make_cache().set_tag(7, 5) is False
-
-    def test_reset_tags(self):
-        cache = make_cache()
-        cache.access(1, tag=9)
-        cache.access(2, tag=9)
-        cache.reset_tags(0)
-        assert cache.tag_of(1) == 0
-        assert cache.tag_of(2) == 0
-
-
-class TestFillAndProbe:
-    def test_fill_installs_without_stats(self):
-        cache = make_cache()
-        cache.fill(11)
-        assert cache.contains(11)
-        assert cache.stats.accesses == 0
-
-    def test_fill_existing_is_noop(self):
-        cache = make_cache()
-        cache.access(11)
-        cache.fill(11, tag=5)
-        assert cache.tag_of(11) == 0  # tag unchanged
-
-    def test_probe_never_fills(self):
-        cache = make_cache()
-        assert cache.probe(3) is False
-        assert not cache.contains(3)
-        assert cache.stats.misses == 1
-
-    def test_probe_hit_counts(self):
-        cache = make_cache()
-        cache.access(3)
-        assert cache.probe(3) is True
-        assert cache.stats.hits == 1
+        assert new_cache().tag_of(1) is None
 
 
 def _cache_state(cache):
@@ -207,30 +165,23 @@ class TestCountResident:
 
 class TestInvalidateAndFlush:
     def test_invalidate_removes(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(9)
         assert cache.invalidate(9) is True
         assert not cache.contains(9)
 
     def test_invalidate_absent(self):
-        assert make_cache().invalidate(9) is False
+        assert new_cache().invalidate(9) is False
 
     def test_refill_after_invalidate(self):
-        cache = make_cache()
+        cache = new_cache()
         cache.access(9)
         cache.invalidate(9)
         assert cache.access(9) is False
         assert cache.contains(9)
 
-    def test_flush_empties(self):
-        cache = make_cache()
-        for block in range(8):
-            cache.access(block)
-        cache.flush()
-        assert cache.occupancy == 0
-
     def test_resident_blocks(self):
-        cache = make_cache()
+        cache = new_cache()
         for block in (3, 5, 8):
             cache.access(block)
         assert set(cache.resident_blocks()) == {3, 5, 8}
@@ -247,7 +198,7 @@ def test_cache_invariants_any_policy(blocks, policy):
     - a block just accessed is always resident;
     - hits + misses == accesses, evictions == misses - occupancy.
     """
-    cache = make_cache(size=512, assoc=4, replacement=policy)
+    cache = new_cache(size=512, assoc=4, replacement=policy)
     capacity = cache.config.num_blocks
     for block in blocks:
         cache.access(block)
@@ -261,7 +212,7 @@ def test_cache_invariants_any_policy(blocks, policy):
 @settings(max_examples=40, deadline=None)
 def test_lru_small_working_set_always_hits_after_warmup(blocks):
     """A working set that fits in one set's ways never misses twice."""
-    cache = make_cache(size=2048, assoc=8)  # 32 blocks, 4 sets
+    cache = new_cache(size=2048, assoc=8)  # 32 blocks, 4 sets
     misses_per_block = {}
     for block in blocks:
         if not cache.access(block):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import tiny_scale
-from repro.fastpath import ENV_VAR
 from repro.sched.base import BaselineScheduler
 from repro.sim.api import SCHEDULERS
 from repro.sim.engine import SimulationEngine
@@ -95,9 +94,7 @@ class TestAgeKernelViews:
     which would cost every pool worker their build time and memory."""
 
     @pytest.mark.parametrize("scheduler", ("base", "strex", "slicc"))
-    def test_lru_engines_build_no_run_tables(self, monkeypatch,
-                                             scheduler):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_lru_engines_build_no_run_tables(self, scheduler):
         config = tiny_scale(num_cores=2)
         traces = WORKLOADS["tpcc"](config.l1i_blocks, 7).generate_mix(
             8, seed=7)

@@ -1,7 +1,7 @@
 """Fast-path support machinery.
 
 Covers the pieces the specialized kernel leans on but that parity runs
-alone don't pin down: non-power-of-two set geometry, flush/invalidate
+alone don't pin down: non-power-of-two set geometry, invalidation
 against the flat O(1) layout, the trace-level memos, the runner's
 workload-trace memo, manifest retention, and the perf microbenchmark.
 """
@@ -11,15 +11,15 @@ import random
 
 import pytest
 
-from repro.cache.cache import Cache, CacheStats, ReferenceCache
+from repro.cache.cache import Cache, CacheStats
 from repro.config import CacheConfig, tiny_scale
 from repro.exp import runner as runner_mod
 from repro.exp.manifest import Manifest, ManifestEntry
 from repro.exp.spec import RunSpec
-from repro.fastpath import ENV_VAR
 from repro.sched.base import BaselineScheduler
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import TransactionTrace
+from repro.verify.reference import ReferenceCache
 from repro.workloads import WORKLOADS
 
 POLICIES = ("lru", "fifo", "random", "lip", "bip", "dip",
@@ -78,44 +78,7 @@ class TestNonPowerOfTwoGeometry:
 
 
 class TestFlushInvalidate:
-    """flush/invalidate against the flat layout and age policies."""
-
-    def test_flush_mutates_storage_in_place(self):
-        # The engine's specialized loops capture references to these
-        # arrays once at construction; flush must never rebind them.
-        fast, _ = _pair(size=1024, assoc=4)
-        blocks, set_len = fast._slot_blocks, fast._set_len
-        for block in range(16):
-            fast.access(block)
-        fast.flush()
-        assert fast._slot_blocks is blocks
-        assert fast._set_len is set_len
-        assert all(b is None for b in blocks)
-        assert set_len == [0] * fast.num_sets
-        assert fast.occupancy == 0
-
-    def test_flush_skips_victim_callbacks(self):
-        victims = []
-        fast = Cache(CacheConfig(1024, assoc=4),
-                     victim_callback=lambda b, t: victims.append(b))
-        for block in range(16):
-            fast.access(block)
-        fast.flush()
-        assert victims == []
-
-    @pytest.mark.parametrize("policy", ("lru", "fifo", "lip", "dip"))
-    def test_refill_after_flush_matches_reference(self, policy):
-        fast, ref = _pair(size=1024, assoc=4, replacement=policy)
-        rng = random.Random(3)
-        stream = [rng.randrange(40) for _ in range(300)]
-        for block in stream[:150]:
-            assert fast.access(block) == ref.access(block)
-        fast.flush()
-        ref.flush()
-        assert fast.occupancy == ref.occupancy == 0
-        for block in stream[150:]:
-            assert fast.access(block) == ref.access(block)
-        _assert_same_state(fast, ref)
+    """Invalidation against the flat layout and age policies."""
 
     @pytest.mark.parametrize("policy", ("lru", "fifo", "srrip"))
     def test_invalidate_frees_way_before_eviction(self, policy):
@@ -203,15 +166,13 @@ class TestPackedEventsOnlyForAgeEngines:
 
     @pytest.mark.parametrize("policy, age", [
         ("bip", False), ("srrip", False), ("lru", True)])
-    def test_packed_memo_filled_only_by_age_runs(self, monkeypatch,
-                                                 policy, age):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_packed_memo_filled_only_by_age_runs(self, policy, age):
         config = tiny_scale().with_l1_replacement(policy)
         suite = WORKLOADS["tpcc"](config.l1i_blocks, 1013)
         traces = suite.generate_mix(4, seed=1013)
         assert not any(trace._packed_events for trace in traces)
         engine = SimulationEngine(config, traces, BaselineScheduler)
-        assert engine._fast_kernel and not engine.prefetcher_active
+        assert not engine.reference and not engine.prefetcher_active
         assert engine._age_kernel == age
         engine.run("tpcc")
         assert all(bool(trace._packed_events) == age
@@ -390,14 +351,14 @@ class TestPerfBench:
 
     def test_parity_is_checked_for_every_timed_scheduler(
             self, monkeypatch):
-        from repro.fastpath import reference_mode
         from repro.perf import bench
 
         real = bench.simulate
 
-        def skewed(config, traces, scheduler, workload):
-            result = real(config, traces, scheduler, workload)
-            if scheduler == "smt" and reference_mode():
+        def skewed(config, traces, scheduler, workload, reference=False):
+            result = real(config, traces, scheduler, workload,
+                          reference=reference)
+            if scheduler == "smt" and reference:
                 result.cycles += 1
             return result
 
@@ -416,7 +377,8 @@ class TestPerfBench:
         clock = itertools.count(100, -1)
         last = {}
 
-        def fake_time(config, traces, scheduler, workload):
+        def fake_time(config, traces, scheduler, workload,
+                      reference=False):
             last[scheduler] = float(next(clock))
             return last[scheduler]
 

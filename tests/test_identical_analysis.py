@@ -1,8 +1,9 @@
 """Tests for the identical-transaction experiment helpers (Section 4.1
 / Fig. 4 machinery) beyond the API-level checks."""
 
-from repro.config import tiny_scale
-from repro.core.identical import identical_sweep, replicate_instances
+from repro.core.identical import replicate_instances
+from repro.exp.runner import execute_spec
+from repro.exp.spec import RunSpec
 
 
 class TestReplication:
@@ -25,11 +26,15 @@ class TestReplication:
 
 class TestSweep:
     def test_sweep_covers_all_types(self, tiny_tpcc):
-        results = identical_sweep(
-            {"tpcc": tiny_tpcc}, tiny_scale(num_cores=1),
-            instances=2, replicas=2,
-        )
-        assert set(results["tpcc"]) == set(tiny_tpcc.type_names())
-        for base_mpki, sync_mpki in results["tpcc"].values():
-            assert base_mpki > 0
-            assert sync_mpki < base_mpki
+        # Fig. 4 over every TPC-C type: a base and a strex
+        # ``mode="identical"`` cell per type, on one core.
+        for txn_type in tiny_tpcc.type_names():
+            common = dict(workload="tpcc", mode="identical",
+                          txn_type=txn_type, transactions=2,
+                          replicas=2, scale="tiny", cores=1)
+            base = execute_spec(RunSpec(scheduler="base", **common))
+            sync = execute_spec(RunSpec(scheduler="strex", team_size=10,
+                                        **common))
+            assert base.transactions == sync.transactions == 4
+            assert base.i_mpki > 0
+            assert sync.i_mpki < base.i_mpki, txn_type

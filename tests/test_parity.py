@@ -1,12 +1,11 @@
-"""Differential parity: fast path vs ``REPRO_SIM_REFERENCE=1``.
+"""Differential parity: fast kernel vs reference kernel.
 
 The engine's specialized loops, flat cache layout, and age-counter
 replacement must not change a single simulated number.  Each test here
 generates one trace set, runs it through both implementations *in the
-same process* (the path is latched when the engine is constructed, so
-toggling the environment variable between constructions is enough), and
-asserts the full :class:`RunResult` dicts are identical — cycles,
-MPKIs, coherence misses, NoC hops, everything.
+same process* (``reference=True`` picks the reference kernel when the
+engine is constructed), and asserts the full :class:`RunResult` dicts
+are identical — cycles, MPKIs, coherence misses, NoC hops, everything.
 
 Trace generation itself is hash-seed dependent (pre-existing seed
 behaviour), which is why both paths must consume the *same* trace
@@ -18,15 +17,19 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.config import tiny_scale
-from repro.fastpath import ENV_VAR, reference_mode
+from repro.exp.diff import reference_diff
+from repro.exp.spec import RunSpec
 from repro.obs import TRACE_ENV
+from repro.perf import run_bench
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.sched.base import BaselineScheduler
 from repro.sched.strex import StrexScheduler
 from repro.sim.api import SCHEDULERS, simulate
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import TraceBuilder
+from repro.verify import FuzzCase, run_case
 from repro.workloads import WORKLOADS
 
 POLICIES = ("lru", "fifo", "random", "lip", "bip", "dip",
@@ -39,15 +42,11 @@ def _traces(workload: str, config, transactions: int = TRANSACTIONS):
     return suite.generate_mix(transactions, seed=1013)
 
 
-def _assert_parity(monkeypatch, config, traces, scheduler: str,
+def _assert_parity(config, traces, scheduler: str,
                    workload: str, **kwargs) -> None:
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert not reference_mode()
     fast = simulate(config, traces, scheduler, workload, **kwargs)
-    monkeypatch.setenv(ENV_VAR, "1")
-    assert reference_mode()
-    ref = simulate(config, traces, scheduler, workload, **kwargs)
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    ref = simulate(config, traces, scheduler, workload, reference=True,
+                   **kwargs)
     assert fast.to_dict() == ref.to_dict()
 
 
@@ -56,10 +55,10 @@ class TestSchedulerMatrix:
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_scheduler_parity(self, monkeypatch, scheduler, workload):
+    def test_scheduler_parity(self, scheduler, workload):
         config = tiny_scale()
         traces = _traces(workload, config)
-        _assert_parity(monkeypatch, config, traces, scheduler, workload)
+        _assert_parity(config, traces, scheduler, workload)
 
 
 class TestReplacementMatrix:
@@ -71,7 +70,7 @@ class TestReplacementMatrix:
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("scheduler", ("base", "strex"))
-    def test_replacement_parity(self, monkeypatch, policy, scheduler):
+    def test_replacement_parity(self, policy, scheduler):
         config = tiny_scale().with_l1_replacement(policy)
         config = dataclasses.replace(
             config,
@@ -79,34 +78,75 @@ class TestReplacementMatrix:
                                          replacement=policy),
         )
         traces = _traces("tpcc", config)
-        _assert_parity(monkeypatch, config, traces, scheduler, "tpcc")
+        _assert_parity(config, traces, scheduler, "tpcc")
 
 
 class TestOtherShapes:
     """Configurations off the common path."""
 
-    def test_prefetcher_parity(self, monkeypatch):
+    def test_prefetcher_parity(self):
         # An active prefetcher forces the general loop on the fast
         # path, so this pins down cache-layer (not loop) parity.
         config = tiny_scale()
         traces = _traces("tpcc", config)
-        _assert_parity(monkeypatch, config, traces, "base", "tpcc",
+        _assert_parity(config, traces, "base", "tpcc",
                        prefetcher="nextline")
-        _assert_parity(monkeypatch, config, traces, "strex", "tpcc",
+        _assert_parity(config, traces, "strex", "tpcc",
                        prefetcher="tifs")
 
-    def test_non_power_of_two_cores(self, monkeypatch):
+    def test_non_power_of_two_cores(self):
         # 3 cores: non-square torus and modulo home-slice mapping.
         config = tiny_scale(num_cores=3)
         traces = _traces("tpcc", config)
-        _assert_parity(monkeypatch, config, traces, "base", "tpcc")
-        _assert_parity(monkeypatch, config, traces, "strex", "tpcc")
+        _assert_parity(config, traces, "base", "tpcc")
+        _assert_parity(config, traces, "strex", "tpcc")
 
-    def test_team_size_parity(self, monkeypatch):
+    def test_team_size_parity(self):
         config = tiny_scale()
         traces = _traces("tpcc", config)
-        _assert_parity(monkeypatch, config, traces, "strex", "tpcc",
+        _assert_parity(config, traces, "strex", "tpcc",
                        team_size=2)
+
+
+def _kernels_run(call) -> list:
+    """The ``kernel`` tag of every ``sim.run`` span ``call()`` opens."""
+    tracer = obs.Tracer()
+    with obs.use(tracer):
+        call()
+    return [span.tags["kernel"] for span in tracer.ring
+            if span.name == "sim.run"]
+
+
+class TestDifferentialEntryPoints:
+    """Each differential entry point really runs the reference kernel.
+
+    ``repro diff --reference``, the fuzz harness and ``repro perf``
+    compare a fast run with a reference run.  If one of them stopped
+    forwarding ``reference=True``, both sides would run the fast
+    kernel and every comparison would pass trivially.
+    """
+
+    def test_reference_diff(self):
+        spec = RunSpec(workload="tpcc", scheduler="base", cores=2,
+                       transactions=4, seed=7, scale="tiny")
+        kernels = _kernels_run(lambda: reference_diff([spec]))
+        assert kernels == ["age", "reference"]
+
+    def test_fuzz_harness(self):
+        case = FuzzCase(name="t", config=tiny_scale(2).to_dict(),
+                        scheduler="strex", workload="tpcc",
+                        transactions=3, seed=5)
+        outcomes = []
+        kernels = _kernels_run(lambda: outcomes.append(run_case(case)))
+        assert outcomes[0].ok
+        assert kernels == ["age", "reference"]
+
+    def test_perf_reference_series(self):
+        kernels = _kernels_run(lambda: run_bench(
+            scale="tiny", transactions=2, repeats=1,
+            schedulers=("base",)))
+        # Warm-up pair, then the timed pair, then the scheduler run.
+        assert kernels == ["age", "reference", "age", "reference", "age"]
 
 
 class TestTracedParity:
@@ -124,16 +164,13 @@ class TestTracedParity:
         config = tiny_scale()
         traces = _traces("tpcc", config)
         monkeypatch.delenv(TRACE_ENV, raising=False)
-        monkeypatch.delenv(ENV_VAR, raising=False)
         fast = simulate(config, traces, scheduler, "tpcc")
-        monkeypatch.setenv(ENV_VAR, "1")
-        ref = simulate(config, traces, scheduler, "tpcc")
+        ref = simulate(config, traces, scheduler, "tpcc", reference=True)
 
         monkeypatch.setenv(TRACE_ENV, str(tmp_path / "trace.jsonl"))
-        monkeypatch.delenv(ENV_VAR, raising=False)
         fast_traced = simulate(config, traces, scheduler, "tpcc")
-        monkeypatch.setenv(ENV_VAR, "1")
-        ref_traced = simulate(config, traces, scheduler, "tpcc")
+        ref_traced = simulate(config, traces, scheduler, "tpcc",
+                              reference=True)
 
         assert fast_traced.to_dict() == fast.to_dict()
         assert ref_traced.to_dict() == ref.to_dict()
@@ -151,14 +188,13 @@ class TestGeneralLoopCacheState:
     @pytest.mark.parametrize("prefetcher", (None, NextLinePrefetcher))
     @pytest.mark.parametrize("policy", ("random", "dip", "bip", "srrip"))
     def test_l1i_counters_and_version_match_reference(
-            self, monkeypatch, policy, prefetcher):
+            self, policy, prefetcher):
         config = tiny_scale().with_l1_replacement(policy)
         traces = _traces("tpcc", config)
         states = []
         for reference in (False, True):
-            _set_kernel(monkeypatch, reference)
             engine = SimulationEngine(config, traces, StrexScheduler,
-                                      prefetcher)
+                                      prefetcher, reference=reference)
             assert not engine._age_kernel
             result = json.dumps(engine.run("tpcc").to_dict(),
                                 sort_keys=True)
@@ -198,10 +234,9 @@ class MultiCallStrex(StrexScheduler):
 
 
 #: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
-#: takes the age loop; BIP takes the general loop over the flat caches
-#: (the key keeps the name of the non-age loop it once had, so test ids
-#: stay put), and a prefetcher the general loop too; under
-#: ``REPRO_SIM_REFERENCE=1`` all three take the general loop over the
+#: takes the age loop; BIP (``fast``) takes the general loop over the
+#: fast kernel's flat caches, and a prefetcher the general loop too; on
+#: the reference kernel all three take the general loop over the
 #: reference caches.
 FLOOR_LOOPS = {
     "age": (lambda config: config, None),
@@ -210,28 +245,21 @@ FLOOR_LOOPS = {
 }
 
 
-def _set_kernel(monkeypatch, reference: bool) -> None:
-    if reference:
-        monkeypatch.setenv(ENV_VAR, "1")
-    else:
-        monkeypatch.delenv(ENV_VAR, raising=False)
-
-
 class TestStrexFloorInKernel:
     """One kernel call per STREX slice changes no simulated number."""
 
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
     @pytest.mark.parametrize("floor", (None, 0, 1, 4, 10_000))
-    def test_matches_multi_call_oracle(self, monkeypatch, floor, loop,
+    def test_matches_multi_call_oracle(self, floor, loop,
                                        reference):
         transform, prefetcher = FLOOR_LOOPS[loop]
         config = transform(tiny_scale()).with_strex(
             min_progress_events=floor)
         traces = _traces("tpcc", config)
-        _set_kernel(monkeypatch, reference)
         engines = [
-            SimulationEngine(config, traces, scheduler, prefetcher)
+            SimulationEngine(config, traces, scheduler, prefetcher,
+                             reference=reference)
             for scheduler in (StrexScheduler, MultiCallStrex)
         ]
         new, old = engines
@@ -258,16 +286,16 @@ class TestSwitchFloorEdges:
     the victim callback raises a switch request on each eviction.
     """
 
-    def _engine(self, monkeypatch, loop, reference, extra):
+    def _engine(self, loop, reference, extra):
         transform, prefetcher = FLOOR_LOOPS[loop]
         config = transform(tiny_scale(num_cores=1))
         assoc = config.l1i.assoc
         builder = TraceBuilder(0, "S")
         for k in range(assoc + extra):
             builder.append(k * config.l1i.num_sets, 10)
-        _set_kernel(monkeypatch, reference)
         engine = SimulationEngine(config, [builder.build()],
-                                  BaselineScheduler, prefetcher)
+                                  BaselineScheduler, prefetcher,
+                                  reference=reference)
 
         def request(block, tag):
             engine.switch_requested = True
@@ -278,8 +306,8 @@ class TestSwitchFloorEdges:
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
     def test_request_on_last_event_is_not_absorbed(
-            self, monkeypatch, loop, reference):
-        engine, assoc = self._engine(monkeypatch, loop, reference, 2)
+            self, loop, reference):
+        engine, assoc = self._engine(loop, reference, 2)
         thread = engine.threads[0]
         executed = engine.run_events(0, thread, 100, switch_floor=10_000)
         # The request at event ``assoc`` was absorbed; the one on the
@@ -291,37 +319,37 @@ class TestSwitchFloorEdges:
 
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
-    def test_floor_bounds_the_stop(self, monkeypatch, loop, reference):
+    def test_floor_bounds_the_stop(self, loop, reference):
         # Floor 1: stop at the first request.
-        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        engine, assoc = self._engine(loop, reference, 3)
         executed = engine.run_events(0, engine.threads[0], 100,
                                      switch_floor=1)
         assert executed == assoc + 1
         assert engine.switch_requested
         # Floor assoc + 2: absorb the first request, stop at the next.
-        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        engine, assoc = self._engine(loop, reference, 3)
         executed = engine.run_events(0, engine.threads[0], 100,
                                      switch_floor=assoc + 2)
         assert executed == assoc + 2
         assert not engine.threads[0].finished
         assert engine.switch_requested
         # No floor: the request is never watched.
-        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        engine, assoc = self._engine(loop, reference, 3)
         assert engine.run_events(0, engine.threads[0], 100) == assoc + 3
 
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
-    def test_absorbed_request_rearms_the_quantum(self, monkeypatch, loop,
+    def test_absorbed_request_rearms_the_quantum(self, loop,
                                                  reference):
         # A quantum ending right at the first request: absorbing it
         # starts a fresh quantum, so the call runs on past it.
-        engine, assoc = self._engine(monkeypatch, loop, reference, 3)
+        engine, assoc = self._engine(loop, reference, 3)
         executed = engine.run_events(0, engine.threads[0], assoc + 1,
                                      switch_floor=10_000)
         assert executed == assoc + 3
         assert engine.switch_requested
 
-    def _one_block_engine(self, monkeypatch, loop, reference, lengths):
+    def _one_block_engine(self, loop, reference, lengths):
         """Threads that each repeat block 0, ``lengths`` events apiece,
         after a one-event warm-up call on the first thread.
 
@@ -337,9 +365,8 @@ class TestSwitchFloorEdges:
             for _ in range(length):
                 builder.append(0, 10)
             traces.append(builder.build())
-        _set_kernel(monkeypatch, reference)
         engine = SimulationEngine(config, traces, BaselineScheduler,
-                                  prefetcher)
+                                  prefetcher, reference=reference)
         assert engine.run_events(0, engine.threads[0], 1) == 1
         return engine
 
@@ -355,8 +382,8 @@ class TestSwitchFloorEdges:
         (dict(miss_log=[1, 2, 3], stop_after_misses=2), (1, False, 127)),
     ], ids=("pending-floor-1", "pending-floor-5", "miss-log-full"))
     def test_pre_armed_entry_acts_after_one_event(
-            self, monkeypatch, loop, reference, entry, expected):
-        engine = self._one_block_engine(monkeypatch, loop, reference,
+            self, loop, reference, entry, expected):
+        engine = self._one_block_engine(loop, reference,
                                         (40,))
         engine.switch_requested = "switch_floor" in entry
         executed = engine.run_events(0, engine.threads[0], 30, **entry)
@@ -365,16 +392,16 @@ class TestSwitchFloorEdges:
 
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
-    def test_pre_armed_entry_blocks_bulk_retire(self, monkeypatch, loop,
+    def test_pre_armed_entry_blocks_bulk_retire(self, loop,
                                                 reference):
         # The call starts on a 20-event hit run that fits the quantum,
         # which runs to the end when nothing is pending; a pending
         # request must still stop the call after one event.
-        idle = self._one_block_engine(monkeypatch, loop, reference,
+        idle = self._one_block_engine(loop, reference,
                                       (1, 20))
         assert idle.run_events(0, idle.threads[1], 30,
                                switch_floor=1) == 20
-        armed = self._one_block_engine(monkeypatch, loop, reference,
+        armed = self._one_block_engine(loop, reference,
                                        (1, 20))
         armed.switch_requested = True
         assert armed.run_events(0, armed.threads[1], 30,

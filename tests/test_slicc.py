@@ -158,7 +158,7 @@ class TestSignatureMatching:
         thread = engine.threads[0]
         probe_blocks = [3000 + i for i in range(8)]
         for block in probe_blocks:
-            engine.hier.l1i[2].fill(block)
+            engine.hier.l1i[2].access(block)
         thread.recent_misses = list(probe_blocks)
         assert scheduler._matched_target(0, thread) == 2
 
@@ -176,6 +176,6 @@ class TestSignatureMatching:
         thread = engine.threads[0]
         probe_blocks = [3000 + i for i in range(8)]
         for block in probe_blocks[:2]:  # 25% < 50% threshold
-            engine.hier.l1i[2].fill(block)
+            engine.hier.l1i[2].access(block)
         thread.recent_misses = list(probe_blocks)
         assert scheduler._matched_target(0, thread) is None

@@ -8,7 +8,7 @@ Two contracts are under test (DESIGN.md decision 15):
   and raises :class:`InvariantViolation` at the first breach -- and a
   deliberately injected bookkeeping bug *is* flagged;
 * :func:`run_case` runs every case through the fast AND the
-  ``REPRO_SIM_REFERENCE=1`` kernels and requires byte-equal results --
+  reference kernels and requires byte-equal results --
   and a deliberate fast/reference divergence *is* flagged.
 """
 
@@ -19,11 +19,11 @@ import pytest
 
 from repro.__main__ import build_fuzz_parser, main
 from repro.config import BLOCK_SIZE, tiny_scale
-from repro.fastpath import CHECK_ENV
 from repro.sched.base import BaselineScheduler
 from repro.sim.api import simulate
 from repro.sim.engine import SimulationEngine
 from repro.verify import (
+    CHECK_ENV,
     CaseGenerator,
     CasePools,
     FuzzCase,
@@ -369,7 +369,6 @@ class TestCorpus:
         """Byte-identical ``RunResult``s with and without the sink,
         spot-checked on two hostile corpus cases under both kernels."""
         from repro.exp.diff import result_blob
-        from repro.fastpath import ENV_VAR
         from repro.obs import TRACE_ENV
 
         pairs = load_corpus(CORPUS_DIR)[:2]
@@ -377,19 +376,17 @@ class TestCorpus:
             config = case.build_config()
             traces = case.build_traces()
             for reference in (False, True):
-                if reference:
-                    monkeypatch.setenv(ENV_VAR, "1")
-                else:
-                    monkeypatch.delenv(ENV_VAR, raising=False)
                 monkeypatch.delenv(TRACE_ENV, raising=False)
                 plain = simulate(config, traces, case.scheduler,
                                  case.workload,
-                                 team_size=case.team_size)
+                                 team_size=case.team_size,
+                                 reference=reference)
                 monkeypatch.setenv(
                     TRACE_ENV, str(tmp_path / "spot.jsonl"))
                 traced = simulate(config, traces, case.scheduler,
                                   case.workload,
-                                  team_size=case.team_size)
+                                  team_size=case.team_size,
+                                  reference=reference)
                 assert result_blob(traced) == result_blob(plain), \
                     case.name
 

@@ -5,7 +5,7 @@ These are the degenerate geometries the fuzz generator samples but
 nothing else in the suite pins down explicitly: a 1-core "torus",
 STREX with ``team_size=1``, empty traces, a single-instruction-block
 workload, and a zero-latency L2.  Every simulation here runs through
-the fast path *and* ``REPRO_SIM_REFERENCE=1`` and must produce
+the fast kernel *and* the reference kernel and must produce
 byte-equal results on top of passing its specific assertions.
 """
 
@@ -13,10 +13,9 @@ import pytest
 
 from repro.config import BLOCK_SIZE, SystemConfig, tiny_scale
 from repro.exp.diff import result_blob
-from repro.fastpath import CHECK_ENV, ENV_VAR
 from repro.sim.api import simulate
 from repro.trace.trace import TransactionTrace
-from repro.verify import synthetic_traces
+from repro.verify import CHECK_ENV, synthetic_traces
 from repro.workloads import make_workload
 
 
@@ -27,11 +26,9 @@ def both_kernels(monkeypatch, config, traces, scheduler, **kwargs):
     are byte-equal.
     """
     monkeypatch.setenv(CHECK_ENV, "1")
-    monkeypatch.delenv(ENV_VAR, raising=False)
     fast = simulate(config, traces, scheduler, **kwargs)
-    monkeypatch.setenv(ENV_VAR, "1")
-    reference = simulate(config, traces, scheduler, **kwargs)
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    reference = simulate(config, traces, scheduler, reference=True,
+                         **kwargs)
     assert result_blob(fast) == result_blob(reference)
     return fast
 
