@@ -812,8 +812,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
                              "(event/instruction totals, kernel "
-                             "calls) in the report as "
-                             "'kernel_counters'")
+                             "calls, packed-view footprint) in the "
+                             "report as 'kernel_counters'")
     return parser
 
 

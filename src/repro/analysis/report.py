@@ -66,10 +66,3 @@ def grouped_bar_chart(groups: Mapping[str, Mapping[str, float]],
             bar = "#" * max(0, round(width * value / peak))
             lines.append(f"  {label.rjust(label_width)} | {bar} {value:.2f}")
     return "\n".join(lines)
-
-
-def percent_delta(before: float, after: float) -> float:
-    """Relative change in percent (negative means a reduction)."""
-    if before == 0:
-        return 0.0
-    return 100.0 * (after - before) / before

@@ -65,7 +65,9 @@ def run_bench(
     ``kernel_counters``: the engine's own attribution for one fast run
     -- event/instruction totals and kernel calls -- so a regression
     report arrives with its own diagnosis (did the slices get
-    shorter?).  The extra run happens after all timing.
+    shorter?), plus the age loop's view footprint: packed events and
+    the distinct tuples they share.  The extra run happens after all
+    timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -162,7 +164,8 @@ def _traced_kernel_counters(config, traces, workload: str
 
     Harvests the engine's ``sim.run`` span counters through a private
     in-memory tracer (no sink, no effect on any ambient
-    ``REPRO_TRACE``).
+    ``REPRO_TRACE``).  ``views`` counts the run's packed events and
+    the distinct tuple objects they hold, once, after the run.
     """
     tracer = obs.Tracer()
     with obs.use(tracer):
@@ -170,10 +173,18 @@ def _traced_kernel_counters(config, traces, workload: str
     span = next(
         s for s in reversed(tracer.ring) if s.name == "sim.run")
     counters = span.counters
+    views = [trace.packed_events(config.core.base_cpi,
+                                 config.l1i.num_sets)
+             for trace in traces]
     return {
         "events": int(counters.get("events", 0)),
         "instructions": int(counters.get("instructions", 0)),
         "kernel_calls": int(counters.get("kernel_calls", 0)),
+        "views": {
+            "events": sum(len(events) for events in views),
+            "distinct_tuples": len({id(event) for events in views
+                                    for event in events}),
+        },
     }
 
 

@@ -25,6 +25,8 @@ hit-run tables (:meth:`TransactionTrace.run_tables`).
 from __future__ import annotations
 
 import hashlib
+from array import array
+from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,7 +89,7 @@ class TransactionTrace:
         self._unique_iblocks: Optional[frozenset] = None
         self._packed_events: dict = {}
         self._set_indices: dict = {}
-        self._ilen_prefix: Optional[list] = None
+        self._ilen_prefix: Optional[array] = None
         self._list_columns: Optional[tuple] = None
         self._run_tables: dict = {}
         self._content_key: Optional[str] = None
@@ -169,17 +171,35 @@ class TransactionTrace:
         packed form accumulates bit-identical float cycles; ``iset`` is
         the L1-I set index of ``iblock`` for the given geometry.  Built
         once per ``(cpi, num_sets)`` and shared by every run.
+
+        Equal events share one tuple: OLTP transactions revisit the
+        same few blocks, so a trace holds far fewer distinct events
+        than events.  The intern table and the per-``ilen``
+        ``icycles`` lookup live only while packing, and set indices
+        are computed there (``%`` equals ``Cache.set_index``'s mask
+        for powers of two), so the :meth:`iblock_set_indices` memo
+        stays empty.
         """
         key = (cpi, num_sets)
         packed = self._packed_events.get(key)
         if packed is None:
-            isets = self.iblock_set_indices(num_sets)
             iblocks, ilens, dblocks, dwrites = self.event_columns()
-            packed = [
-                (iblock, ilen * cpi, ilen, dblock, dwrite, iset)
-                for iblock, ilen, dblock, dwrite, iset in zip(
-                    iblocks, ilens, dblocks, dwrites, isets)
-            ]
+            icycles: dict = {}
+            interned: dict = {}
+            interned_get = interned.get
+            packed = []
+            append = packed.append
+            for event in zip(iblocks, ilens, dblocks, dwrites):
+                entry = interned_get(event)
+                if entry is None:
+                    iblock, ilen, dblock, dwrite = event
+                    cycles = icycles.get(ilen)
+                    if cycles is None:
+                        cycles = icycles[ilen] = ilen * cpi
+                    entry = interned[event] = (
+                        iblock, cycles, ilen, dblock, dwrite,
+                        iblock % num_sets)
+                append(entry)
             self._packed_events[key] = packed
         return packed
 
@@ -260,6 +280,10 @@ class TransactionTrace:
 
         Matches ``Cache.set_index`` for the given geometry (mask for
         powers of two, modulo otherwise); built once per ``num_sets``.
+        No simulation path calls it (:meth:`packed_events` computes its
+        set indices locally); it stays part of the trace API because
+        ``bench/child.py`` wraps it by name when it times the
+        trace-precompute layer.
         """
         indices = self._set_indices.get(num_sets)
         if indices is None:
@@ -272,18 +296,17 @@ class TransactionTrace:
             self._set_indices[num_sets] = indices
         return indices
 
-    def instruction_prefix(self) -> list:
+    def instruction_prefix(self) -> array:
         """Cumulative instruction counts: ``prefix[i]`` is the total
         instructions in events ``[0, i)``, so a slice's instruction
-        count is ``prefix[end] - prefix[start]``.  Memoized."""
+        count is ``prefix[end] - prefix[start]``.
+
+        An ``array('q')``, eight bytes per entry instead of a boxed int;
+        indexing it yields builtin ints.  Memoized."""
         prefix = self._ilen_prefix
         if prefix is None:
-            ilens = self.event_columns()[1]
-            prefix = [0] * (len(ilens) + 1)
-            total = 0
-            for i, ilen in enumerate(ilens):
-                total += ilen
-                prefix[i + 1] = total
+            prefix = array("q", accumulate(self.event_columns()[1],
+                                           initial=0))
             self._ilen_prefix = prefix
         return prefix
 

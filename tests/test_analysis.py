@@ -8,7 +8,6 @@ from repro.analysis.report import (
     bar_chart,
     format_table,
     grouped_bar_chart,
-    percent_delta,
 )
 from repro.config import tiny_scale
 from repro.trace.trace import TraceBuilder
@@ -130,10 +129,6 @@ class TestReport:
         text = grouped_bar_chart({"2 cores": {"base": 1.0},
                                   "4 cores": {"base": 2.0}})
         assert "2 cores:" in text and "4 cores:" in text
-
-    def test_percent_delta(self):
-        assert percent_delta(10, 5) == -50.0
-        assert percent_delta(0, 5) == 0.0
 
 
 class TestBarChartScaling:

@@ -6,8 +6,10 @@ against the flat O(1) layout, the trace-level memos, the runner's
 workload-trace memo, manifest retention, and the perf microbenchmark.
 """
 
+import json
 import multiprocessing
 import random
+from array import array
 
 import pytest
 
@@ -77,7 +79,7 @@ class TestNonPowerOfTwoGeometry:
         assert fast_victims == ref_victims
 
 
-class TestFlushInvalidate:
+class TestInvalidate:
     """Invalidation against the flat layout and age policies."""
 
     @pytest.mark.parametrize("policy", ("lru", "fifo", "srrip"))
@@ -150,9 +152,44 @@ class TestTraceMemos:
     def test_instruction_prefix(self):
         trace = _trace()
         prefix = trace.instruction_prefix()
-        assert prefix == [0, 4, 6, 13, 14, 17]
+        assert list(prefix) == [0, 4, 6, 13, 14, 17]
         assert prefix[-1] == trace.total_instructions
         assert trace.instruction_prefix() is prefix
+
+
+class TestInternedViews:
+    """The age loop's views store each distinct event once."""
+
+    @staticmethod
+    def _repeating_trace():
+        return TransactionTrace(
+            txn_id=2, txn_type="payment",
+            iblocks=[5, 6, 5, 5, 6, 5],
+            ilens=[4, 2, 4, 4, 2, 3],
+            dblocks=[-1, 12, -1, -1, 12, -1],
+            dwrites=[0, 1, 0, 0, 1, 0],
+        )
+
+    def test_equal_events_share_one_tuple(self):
+        packed = self._repeating_trace().packed_events(0.5, 3)
+        assert packed[0] is packed[2] is packed[3]
+        assert packed[1] is packed[4]
+        assert packed[5] is not packed[0]
+        assert len({id(event) for event in packed}) == 3
+        assert packed[0] == (5, 2.0, 4, -1, 0, 2)
+
+    def test_packing_leaves_set_index_memo_empty(self):
+        trace = self._repeating_trace()
+        trace.packed_events(0.5, 4)
+        trace.packed_events(0.5, 3)
+        assert trace._set_indices == {}
+
+    def test_prefix_is_int64_array_of_builtin_ints(self):
+        prefix = self._repeating_trace().instruction_prefix()
+        assert isinstance(prefix, array)
+        assert prefix.typecode == "q"
+        assert all(type(value) is int for value in prefix)
+        assert json.loads(json.dumps(prefix[-1] - prefix[1])) == 15
 
 
 class TestPackedEventsOnlyForAgeEngines:
@@ -390,6 +427,9 @@ class TestPerfBench:
             "strex": last["strex"], "smt": last["smt"]}
         counters = report["kernel_counters"]
         assert 0 < counters["kernel_calls"] <= counters["events"]
+        views = counters["views"]
+        assert views["events"] == report["events"]
+        assert 0 < views["distinct_tuples"] < views["events"]
 
     def test_run_bench_rejects_unknown_names(self):
         from repro.perf import run_bench

@@ -187,7 +187,7 @@ class TestGeneralLoopCacheState:
 
     @pytest.mark.parametrize("prefetcher", (None, NextLinePrefetcher))
     @pytest.mark.parametrize("policy", ("random", "dip", "bip", "srrip"))
-    def test_l1i_counters_and_version_match_reference(
+    def test_l1i_counters_match_reference(
             self, policy, prefetcher):
         config = tiny_scale().with_l1_replacement(policy)
         traces = _traces("tpcc", config)
@@ -392,8 +392,8 @@ class TestSwitchFloorEdges:
 
     @pytest.mark.parametrize("reference", (False, True))
     @pytest.mark.parametrize("loop", sorted(FLOOR_LOOPS))
-    def test_pre_armed_entry_blocks_bulk_retire(self, loop,
-                                                reference):
+    def test_pre_armed_entry_stops_after_one_event(self, loop,
+                                                   reference):
         # The call starts on a 20-event hit run that fits the quantum,
         # which runs to the end when nothing is pending; a pending
         # request must still stop the call after one event.
