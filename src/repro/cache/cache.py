@@ -199,11 +199,18 @@ class Cache:
     def miss_fill(self, block: int, tag: int, set_index: int) -> None:
         """Demand-miss bookkeeping with a precomputed set index.
 
-        The caller -- :meth:`access`, the inlined L2 access
-        (:meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access`)
-        or the general event loop's inlined L1-I probe -- already
-        established the block is absent; this charges the miss and
-        fills, in one call per miss.
+        The caller -- :meth:`access`, an L2 miss in
+        :meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access` or in
+        the general event loop -- already established the block is
+        absent; this charges the miss and fills, in one call per miss.
+        A cold fill takes the set's first free slot and stamps it with
+        :meth:`~repro.cache.replacement.ReplacementPolicy.insert_slot`
+        (inlined as an MRU age stamp for ``age_mru`` policies); a full
+        set is filled by one
+        :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
+        call, which picks the victim and stamps the insert, before the
+        victim callback fires.  Only the general event loop's L1-I
+        fill bypasses this method, and it follows the same steps.
         """
         self.stats.misses += 1
         policy = self.policy
@@ -213,8 +220,13 @@ class Cache:
             base = set_index * self.assoc
             slot = self._slot_blocks.index(None, base, base + self.assoc)
             self._set_len[set_index] += 1
+            if policy.insert_mode == "age_mru":
+                policy._ages[slot] = policy._tick
+                policy._tick += 1
+            else:
+                policy.insert_slot(slot)
         else:
-            slot = policy.victim_slot(set_index)
+            slot = policy.replace(set_index)
             victim = self._slot_blocks[slot]
             if self.victim_callback is not None:
                 self.victim_callback(victim, self._slot_tags[slot])
@@ -223,11 +235,6 @@ class Cache:
         self._slot_blocks[slot] = block
         self._slot_tags[slot] = tag
         self._where[block] = slot
-        if policy.insert_mode == "age_mru":
-            policy._ages[slot] = policy._tick
-            policy._tick += 1
-        else:
-            policy.insert_slot(slot)
 
     def invalidate(self, block: int) -> bool:
         """Remove ``block`` (coherence invalidation).  No victim callback

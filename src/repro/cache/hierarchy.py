@@ -104,7 +104,9 @@ class MemoryHierarchy:
 
         Returns the round trip over the torus plus the slice's hit
         latency, plus the DRAM latency on a miss.  The slice access is
-        inlined over the flat cache layout; the reference hierarchy
+        inlined over the flat cache layout.  Both fast event loops
+        inline this whole method for L1-I misses, so on the fast
+        kernel it serves L1-D misses only; the reference hierarchy
         (:mod:`repro.verify.reference`) takes the generic route, and
         the parity tests require both to agree.
         """

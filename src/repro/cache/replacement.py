@@ -19,7 +19,9 @@ victim.  Implemented policies:
 State is kept in one flat array of ``num_sets * assoc`` *slots* (slot =
 ``set_index * assoc + way``), and the hot interface is slot-based:
 :meth:`~ReplacementPolicy.hit_slot`, :meth:`~ReplacementPolicy.insert_slot`
-and :meth:`~ReplacementPolicy.victim_slot`.  Recency policies encode the
+and :meth:`~ReplacementPolicy.victim_slot`, plus
+:meth:`~ReplacementPolicy.replace`, which fills a full set in one call
+(victim choice and insert stamp together).  Recency policies encode the
 stack order as monotonic *age* stamps -- a hit or insertion is a single
 array store plus a counter bump (O(1)), and only a victim choice scans
 the set (O(assoc), paid once per eviction instead of once per access).
@@ -79,6 +81,19 @@ class ReplacementPolicy:
         """Choose the slot to evict from a full set."""
         raise NotImplementedError
 
+    def replace(self, set_index: int) -> int:
+        """Fill a full set: choose the victim slot and stamp the insert.
+
+        Exactly :meth:`victim_slot` followed by :meth:`insert_slot` on
+        the returned slot -- the same slot, the same policy state and
+        the same RNG draws in the same order -- in one call.  This is
+        the one entry point the cache and the general event loop use
+        for a replacement; subclasses override it to inline both steps.
+        """
+        slot = self.victim_slot(set_index)
+        self.insert_slot(slot)
+        return slot
+
     # -- classic (set, way) interface ----------------------------------
     def on_hit(self, set_index: int, way: int) -> None:
         """A block in ``way`` of ``set_index`` was re-referenced."""
@@ -114,9 +129,11 @@ class _StackPolicy(ReplacementPolicy):
     """
 
     promote_on_hit = True
-    #: True for policies whose _insert_position is the constant 0
-    #: (LRU/FIFO); lets the owning cache inline the insert.
-    always_mru_insert = False
+    #: Probability that an insertion lands at MRU rather than LRU: 1
+    #: for LRU/FIFO (the owning cache and the event loops then inline
+    #: the insert), 0 for LIP, epsilon for BIP.  Only a fractional
+    #: chance draws a random number, one per insertion.
+    mru_insert_chance = 1.0
 
     def __init__(self, num_sets: int, assoc: int, rng: random.Random):
         super().__init__(num_sets, assoc, rng)
@@ -128,7 +145,7 @@ class _StackPolicy(ReplacementPolicy):
         self._low = -1       # next LRU stamp (below all initial ages)
         self.hit_mode = "age" if self.promote_on_hit else "none"
         self.hit_array = ages
-        if self.always_mru_insert:
+        if self.mru_insert_chance == 1.0:
             self.insert_mode = "age_mru"
 
     def hit_slot(self, slot: int) -> None:
@@ -138,7 +155,10 @@ class _StackPolicy(ReplacementPolicy):
 
     def _insert_position(self, set_index: int) -> int:
         """0 for an MRU insertion, ``assoc - 1`` for an LRU one."""
-        raise NotImplementedError
+        chance = self.mru_insert_chance
+        if chance == 1.0 or (chance and self.rng.random() < chance):
+            return 0
+        return self.assoc - 1
 
     def insert_slot(self, slot: int) -> None:
         if self._insert_position(slot // self.assoc) == 0:
@@ -156,15 +176,25 @@ class _StackPolicy(ReplacementPolicy):
         segment = self._ages[base:base + self.assoc]
         return base + segment.index(min(segment))
 
+    def replace(self, set_index: int) -> int:
+        base = set_index * self.assoc
+        ages = self._ages
+        segment = ages[base:base + self.assoc]
+        slot = base + segment.index(min(segment))
+        chance = self.mru_insert_chance
+        if chance == 1.0 or (chance and self.rng.random() < chance):
+            ages[slot] = self._tick
+            self._tick += 1
+        else:
+            ages[slot] = self._low
+            self._low -= 1
+        return slot
+
 
 class LruPolicy(_StackPolicy):
     """Classic LRU: insert at MRU, promote on hit, evict LRU."""
 
     name = "lru"
-    always_mru_insert = True
-
-    def _insert_position(self, set_index: int) -> int:
-        return 0
 
 
 class FifoPolicy(_StackPolicy):
@@ -172,10 +202,6 @@ class FifoPolicy(_StackPolicy):
 
     name = "fifo"
     promote_on_hit = False
-    always_mru_insert = True
-
-    def _insert_position(self, set_index: int) -> int:
-        return 0
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -193,6 +219,9 @@ class RandomPolicy(ReplacementPolicy):
     def victim_slot(self, set_index: int) -> int:
         return set_index * self.assoc + self.rng.randrange(self.assoc)
 
+    # The insertion leaves no state, so a replacement is the victim.
+    replace = victim_slot
+
 
 class LipPolicy(_StackPolicy):
     """LRU Insertion Policy: new blocks land at the LRU position.
@@ -202,9 +231,7 @@ class LipPolicy(_StackPolicy):
     """
 
     name = "lip"
-
-    def _insert_position(self, set_index: int) -> int:
-        return self.assoc - 1
+    mru_insert_chance = 0.0
 
 
 class BipPolicy(_StackPolicy):
@@ -212,11 +239,7 @@ class BipPolicy(_StackPolicy):
 
     name = "bip"
     epsilon = 1.0 / 32.0
-
-    def _insert_position(self, set_index: int) -> int:
-        if self.rng.random() < self.epsilon:
-            return 0
-        return self.assoc - 1
+    mru_insert_chance = epsilon
 
 
 class DipPolicy(_StackPolicy):
@@ -230,6 +253,9 @@ class DipPolicy(_StackPolicy):
     name = "dip"
     psel_bits = 10
     leader_period = 32  # one LRU leader and one BIP leader per period
+    # The insertion depends on the set's role, not on a fixed chance.
+    mru_insert_chance = None
+    replace = ReplacementPolicy.replace
 
     def __init__(self, num_sets: int, assoc: int, rng: random.Random):
         super().__init__(num_sets, assoc, rng)
@@ -272,14 +298,18 @@ class SrripPolicy(ReplacementPolicy):
     """Static RRIP with 2-bit re-reference prediction values.
 
     Blocks are inserted with a *long* re-reference prediction (RRPV =
-    max-1), promoted to *near-immediate* (0) on hit, and the victim is any
-    block predicted *distant* (RRPV = max), aging the whole set until one
-    appears.  RRPVs live in one flat per-slot array.
+    max-1), promoted to *near-immediate* (0) on hit, and the victim is the
+    first block predicted *distant* (RRPV = max), aging the whole set
+    until one appears.  RRPVs live in one flat per-slot array.
     """
 
     name = "srrip"
     rrpv_bits = 2
     hit_mode = "zero"
+    #: Probability of a *long* (max-1) insertion rather than a
+    #: *distant* (max) one.  SRRIP always inserts long and draws no
+    #: random number; BRRIP draws one per insertion.
+    long_insert_chance = 1.0
 
     def __init__(self, num_sets: int, assoc: int, rng: random.Random):
         super().__init__(num_sets, assoc, rng)
@@ -292,21 +322,52 @@ class SrripPolicy(ReplacementPolicy):
         self._rrpv[slot] = 0
 
     def _insert_rrpv(self) -> int:
-        return self.rrpv_max - 1
+        chance = self.long_insert_chance
+        if chance == 1.0 or self.rng.random() < chance:
+            return self.rrpv_max - 1
+        return self.rrpv_max
 
     def insert_slot(self, slot: int) -> None:
         self._rrpv[slot] = self._insert_rrpv()
 
     def victim_slot(self, set_index: int) -> int:
         base = set_index * self.assoc
+        stop = base + self.assoc
+        try:
+            return self._rrpv.index(self.rrpv_max, base, stop)
+        except ValueError:
+            return self._age_set(base, stop)
+
+    def _age_set(self, base: int, stop: int) -> int:
+        """Age a set holding no distant block; return its victim.
+
+        RRPVs never exceed the maximum, so adding the gap between the
+        set's peak and the maximum to every slot is exactly aging by
+        one until a slot is distant, and the first slot that held the
+        peak is the first distant one.
+        """
+        rrpv = self._rrpv
+        segment = rrpv[base:stop]
+        peak = max(segment)
+        gap = self.rrpv_max - peak
+        rrpv[base:stop] = [value + gap for value in segment]
+        return base + segment.index(peak)
+
+    def replace(self, set_index: int) -> int:
+        base = set_index * self.assoc
+        stop = base + self.assoc
         rrpv = self._rrpv
         distant = self.rrpv_max
-        while True:
-            for slot in range(base, base + self.assoc):
-                if rrpv[slot] == distant:
-                    return slot
-            for slot in range(base, base + self.assoc):
-                rrpv[slot] += 1
+        try:
+            slot = rrpv.index(distant, base, stop)
+        except ValueError:
+            slot = self._age_set(base, stop)
+        chance = self.long_insert_chance
+        if chance == 1.0 or self.rng.random() < chance:
+            rrpv[slot] = distant - 1
+        else:
+            rrpv[slot] = distant
+        return slot
 
 
 class BrripPolicy(SrripPolicy):
@@ -319,11 +380,7 @@ class BrripPolicy(SrripPolicy):
 
     name = "brrip"
     epsilon = 1.0 / 32.0
-
-    def _insert_rrpv(self) -> int:
-        if self.rng.random() < self.epsilon:
-            return self.rrpv_max - 1
-        return self.rrpv_max
+    long_insert_chance = epsilon
 
 
 PolicyFactory = Callable[[int, int, random.Random], ReplacementPolicy]

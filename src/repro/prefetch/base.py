@@ -34,7 +34,25 @@ class InstructionPrefetcher:
         return False
 
     def on_fetch(self, core: int, block: int, hit: bool) -> None:
-        """Observe a demand fetch (hit or miss) to update predictor state."""
+        """Observe a demand fetch (hit or miss) to update predictor state.
+
+        The fast event loop calls it on a hit only if a subclass
+        overrides it; misses reach it through :meth:`demand_miss`.
+        """
+
+    def demand_miss(self, core: int, block: int) -> bool:
+        """Handle one L1-I demand miss; return whether it was covered.
+
+        Exactly :meth:`covers`, then :meth:`record` of the answer, then
+        ``on_fetch(core, block, False)``, in one call.  Subclasses
+        override it to inline the three; the reference event loop
+        still makes the three calls, so the parity tests check every
+        override against them.
+        """
+        covered = self.covers(core, block)
+        self.record(covered)
+        self.on_fetch(core, block, False)
+        return covered
 
     def record(self, covered: bool) -> None:
         """Book-keeping helper used by the hierarchy."""

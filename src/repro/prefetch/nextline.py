@@ -38,6 +38,15 @@ class NextLinePrefetcher(InstructionPrefetcher):
     def covers(self, core: int, block: int) -> bool:
         return block in self._armed[core]
 
+    def demand_miss(self, core: int, block: int) -> bool:
+        covered = block in self._armed[core]
+        if covered:
+            self.covered_misses += 1
+        else:
+            self.uncovered_misses += 1
+        self.on_fetch(core, block, False)
+        return covered
+
     def on_fetch(self, core: int, block: int, hit: bool) -> None:
         armed = self._armed[core]
         # Consume the entry if the demand fetch hit an armed block.

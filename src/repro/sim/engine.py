@@ -19,6 +19,7 @@ the excess over a hit stalls the core.
 from __future__ import annotations
 
 import heapq
+from types import MethodType
 from typing import Callable, List, Optional
 
 from repro import obs
@@ -65,20 +66,24 @@ class SimulationEngine:
             else NoPrefetcher(config.num_cores)
         )
         self.prefetcher_active = prefetcher.name != "none"
-        # The kernel is chosen here, once: the hierarchy fixes the cache
-        # layout, and the loops below follow it.
+        # The kernel is chosen here, once, as one of three loops.  The
+        # reference kernel (``reference=True``) builds the reference
+        # hierarchy and runs its own loop from repro.verify.reference,
+        # which calls the cache layer for every step.  Over the flat
+        # layout, engines on always-MRU age policies (LRU/FIFO) on the
+        # L1-I and L2 without a prefetcher take the age loop, which
+        # inlines fills as plain array stores; every other engine
+        # (non-age policies, prefetchers) takes the general loop.
         self.reference = reference
         if reference:
-            from repro.verify.reference import ReferenceHierarchy
+            from repro.verify.reference import (
+                ReferenceHierarchy,
+                run_events_reference,
+            )
 
             self.hier = ReferenceHierarchy(config, prefetcher)
         else:
             self.hier = MemoryHierarchy(config, prefetcher)
-        # The specialized loop requires always-MRU age policies
-        # (LRU/FIFO) on the L1-I and L2 so fills can be inlined as
-        # plain array stores, and no prefetcher.  Every other engine
-        # (non-age policies, prefetchers, the reference kernel) runs
-        # the general loop.
         self._age_kernel = (
             not reference
             and not self.prefetcher_active
@@ -87,8 +92,14 @@ class SimulationEngine:
         )
         self._base_cpi = config.core.base_cpi
         self._l1i_sets = self.hier.l1i[0].num_sets
-        if self._age_kernel:
+        if reference:
+            self._loop = MethodType(run_events_reference, self)
+        elif self._age_kernel:
             self._age_statics = self._build_age_statics()
+            self._loop = self._run_events_age
+        else:
+            self._general_statics = self._build_general_statics()
+            self._loop = self._run_events_general
         self.threads = [
             TxnThread(i, trace) for i, trace in enumerate(traces)
         ]
@@ -114,8 +125,8 @@ class SimulationEngine:
 
         ``(packed_events, instruction_prefix)``, so a slice pays one
         slot read instead of two memo-method calls.  Only age engines
-        bind views: the general loop never reads packed events, and
-        building them would only cost memory.
+        bind views: the general and reference loops read the trace's
+        columns, and packed events would only cost them memory.
         """
         cpi = self._base_cpi
         num_sets = self._l1i_sets
@@ -162,73 +173,158 @@ class SimulationEngine:
             The number of events executed.
         """
         self.kernel_calls += 1
-        if self._age_kernel:
-            return self._run_events_age(core, thread, max_events, tag,
-                                        switch_floor, miss_log,
-                                        stop_after_misses)
-        return self._run_events_general(core, thread, max_events, tag,
-                                        switch_floor, miss_log,
-                                        stop_after_misses)
+        return self._loop(core, thread, max_events, tag, switch_floor,
+                          miss_log, stop_after_misses)
+
+    def _build_general_statics(self) -> List[tuple]:
+        """Per-core local-variable bundles for the general loop.
+
+        Like :meth:`_build_age_statics`: everything is structurally
+        constant for the engine's lifetime, so a slice pays one tuple
+        unpack.  The L1-I victim callback is fetched per call.  The
+        prefetcher's hit hook is ``None`` unless it overrides
+        :meth:`~repro.prefetch.base.InstructionPrefetcher.on_fetch`.
+        """
+        hier = self.hier
+        l2_caches = hier.l2
+        prefetcher = hier.prefetcher
+        demand_miss = on_hit = None
+        if self.prefetcher_active:
+            demand_miss = prefetcher.demand_miss
+            if type(prefetcher).on_fetch is not \
+                    InstructionPrefetcher.on_fetch:
+                on_hit = prefetcher.on_fetch
+        l2_shared = (
+            [c._where.get for c in l2_caches],
+            [c._slot_tags for c in l2_caches],
+            [c.policy for c in l2_caches],
+            [c.policy.hit_array for c in l2_caches],
+            [c.stats for c in l2_caches],
+            [c.miss_fill for c in l2_caches],
+            l2_caches[0].policy.hit_mode,
+            l2_caches[0].num_sets,
+            l2_caches[0]._set_mask if l2_caches[0]._power_of_two
+            else None,
+            hier._num_cores,
+            hier.dram.access,
+            hier._directory.get,
+            hier.access_data,
+            demand_miss,
+            on_hit,
+        )
+        statics = []
+        for core in range(self.config.num_cores):
+            l1i = hier.l1i[core]
+            l1d = hier.l1d[core]
+            i_pol = l1i.policy
+            statics.append((
+                l1i,
+                l1i._where,
+                l1i._slot_blocks,
+                l1i._slot_tags,
+                l1i._set_len,
+                l1i.assoc,
+                l1i.num_sets,
+                l1i._set_mask if l1i._power_of_two else None,
+                i_pol,
+                i_pol.hit_mode,
+                i_pol.hit_array,
+                i_pol.insert_mode == "age_mru",
+                i_pol.on_miss if l1i._policy_has_on_miss else None,
+                i_pol.replace,
+                i_pol.insert_slot,
+                hier.noc._hops[core],
+                hier._l2_roundtrip[core],
+                l1d._where.get,
+                l1d._slot_tags,
+                l1d.policy,
+                l1d.policy.hit_mode,
+                l1d.policy.hit_array,
+                l1d.stats,
+                l1d.config.hit_latency,
+            ) + l2_shared)
+        return statics
 
     def _run_events_general(
         self,
         core: int,
         thread: TxnThread,
         max_events: int,
-        tag: int = 0,
-        switch_floor: Optional[int] = None,
-        miss_log: Optional[list] = None,
-        stop_after_misses: int = 0,
+        tag: int,
+        switch_floor: Optional[int],
+        miss_log: Optional[list],
+        stop_after_misses: int,
     ) -> int:
-        """The general event loop (also the reference kernel).
+        """The general loop: every other policy, any prefetcher.
 
-        Handles every feature: prefetchers, STREX switch monitoring,
-        SLICC miss logging/bounding.  The reference kernel routes all
-        replay through this loop over the reference cache layout; the
-        age loop below must match it bit for bit.
+        Serves the engines the age loop cannot: non-age policies
+        (LIP/BIP/DIP/SRRIP/BRRIP/Random) on the L1-I or L2, and any
+        prefetcher.  Like the age loop it works over the flat layout
+        only, with the L1-I probe and fill, the home-slice L2 hit and
+        the no-op-transition L1-D hit inlined, and counts L1-I hits,
+        misses and evictions, L1-D inline hits, L2 messages and NoC
+        hops in locals added once at exit.  A full L1-I set is filled
+        by the min-age victim plus an MRU stamp for ``age_mru``
+        policies and by one
+        :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
+        call for every other policy; a cold fill calls
+        ``insert_slot``.  An L2 miss calls ``miss_fill`` and DRAM.  A
+        prefetcher is called once per L1-I miss
+        (:meth:`~repro.prefetch.base.InstructionPrefetcher.demand_miss`)
+        and on a hit only if it overrides ``on_fetch``.
+
+        Monitoring follows the age loop: only an L1-I miss can raise
+        ``flagged`` (a switch request from the victim callback, or
+        the miss log reaching its bound); ``flagged`` is seeded on
+        entry, and the outer loop applies the progress floor and the
+        miss bound.  The reference loop,
+        :func:`repro.verify.reference.run_events_reference`, makes
+        every one of these steps a call and checks monitoring after
+        every event; the parity tests require both to agree bit for
+        bit.
         """
-        trace = thread.trace
-        iblocks, ilens, dblocks, dwrites = trace.event_columns()
+        (l1i, i_where, i_slot_blocks, i_tags, i_set_len, i_assoc,
+         i_sets, i_mask, i_pol, i_mode, i_hit_array, i_age_mru,
+         i_on_miss, i_replace, i_insert, hops_row, lat2_row,
+         d_where_get, d_tags, d_pol, d_mode, d_hit_array, l1d_stats,
+         l1d_hit_latency,
+         l2_where_gets, l2_tagsl, l2_pols, l2_hit_arrays, l2_statsl,
+         l2_miss_fills, l2_mode, l2_nsets, l2_mask, num_cores,
+         dram_access, directory_get, access_data, demand_miss,
+         on_hit) = self._general_statics[core]
+        iblocks, ilens, dblocks, dwrites = thread.trace.event_columns()
+        i_victim_cb = l1i.victim_callback
+        i_where_get = i_where.get
+        cpi = self._base_cpi
+        covered_fraction = self.config.core.covered_stall_fraction
         n_events = len(iblocks)
         pos = thread.pos
         end = min(n_events, pos + max_events)
-        hier = self.hier
-        l1i = hier.l1i[core]
-        l1i_access = l1i.access
-        # Over the flat layout the L1-I probe and a hit's update are
-        # inlined: a method call per event would cost the non-age
-        # policies several percent of a cell.  The reference layout
-        # always calls access().
-        flat = not self.reference
-        if flat:
-            i_where_get = l1i._where.get
-            i_tags = l1i._slot_tags
-            i_pol = l1i.policy
-            i_mode = i_pol.hit_mode
-            i_hit_array = i_pol.hit_array
-            i_miss_fill = l1i.miss_fill
-            i_mask = l1i._set_mask if l1i._power_of_two else None
-            i_sets = l1i.num_sets
-        i_hits = 0
-        l1d_hit_latency = hier.l1d[core].config.hit_latency
-        access_data = hier.access_data
-        l2_access = hier._l2_access
-        prefetcher = hier.prefetcher
-        use_prefetcher = self.prefetcher_active
-        cpi = self.config.core.base_cpi
-        covered_fraction = self.config.core.covered_stall_fraction
+        start = pos
+        monitor = switch_floor is not None
+        # Seeded with the monitoring state the call was entered with.
+        flagged = (monitor and self.switch_requested) or (
+            stop_after_misses and miss_log is not None
+            and len(miss_log) >= stop_after_misses)
         cycles = 0.0
         instructions = 0
-        start = pos
+        i_hits = 0
+        i_misses = 0
+        i_evictions = 0
+        d_hits = 0
+        noc_hops = 0
 
         while pos < end:
-            iblock = iblocks[pos]
-            ilen = ilens[pos]
-            instructions += ilen
-            if flat:
+            # Indexed, not sliced: an absorbed request resumes the walk,
+            # and re-slicing four columns each time would cost more
+            # than the indexing saves.
+            for index in range(pos, end):
+                iblock = iblocks[index]
+                ilen = ilens[index]
+                instructions += ilen
+                cycles += ilen * cpi
                 slot = i_where_get(iblock)
-                hit = slot is not None
-                if hit:
+                if slot is not None:
                     i_hits += 1
                     i_tags[slot] = tag
                     if i_mode == "age":
@@ -237,18 +333,67 @@ class SimulationEngine:
                         i_pol._tick = tick + 1
                     elif i_mode == "zero":
                         i_hit_array[slot] = 0
+                    if on_hit is not None:
+                        on_hit(core, iblock, True)
                 else:
-                    i_miss_fill(iblock, tag, iblock & i_mask
-                                if i_mask is not None else iblock % i_sets)
-            else:
-                hit = l1i_access(iblock, tag)
-            cycles += ilen * cpi
-            if not hit:
-                if use_prefetcher:
-                    covered = prefetcher.covers(core, iblock)
-                    prefetcher.record(covered)
-                    prefetcher.on_fetch(core, iblock, False)
-                    latency = l2_access(core, iblock)
+                    # L1-I miss: fill ...
+                    i_misses += 1
+                    iset = iblock & i_mask if i_mask is not None \
+                        else iblock % i_sets
+                    if i_on_miss is not None:
+                        i_on_miss(iset)
+                    base = iset * i_assoc
+                    if i_set_len[iset] < i_assoc:
+                        slot = i_slot_blocks.index(None, base,
+                                                   base + i_assoc)
+                        i_set_len[iset] += 1
+                        if i_age_mru:
+                            tick = i_pol._tick
+                            i_hit_array[slot] = tick
+                            i_pol._tick = tick + 1
+                        else:
+                            i_insert(slot)
+                    else:
+                        if i_age_mru:
+                            segment = i_hit_array[base:base + i_assoc]
+                            slot = base + segment.index(min(segment))
+                            tick = i_pol._tick
+                            i_hit_array[slot] = tick
+                            i_pol._tick = tick + 1
+                        else:
+                            slot = i_replace(iset)
+                        victim = i_slot_blocks[slot]
+                        if i_victim_cb is not None:
+                            i_victim_cb(victim, i_tags[slot])
+                            if monitor and self.switch_requested:
+                                flagged = True
+                        i_evictions += 1
+                        del i_where[victim]
+                    i_slot_blocks[slot] = iblock
+                    i_tags[slot] = tag
+                    i_where[iblock] = slot
+                    # ... ask the prefetcher ...
+                    covered = demand_miss is not None \
+                        and demand_miss(core, iblock)
+                    # ... then the home L2 slice over the torus.
+                    sid = iblock % num_cores
+                    noc_hops += hops_row[sid]
+                    latency = lat2_row[sid]
+                    slot2 = l2_where_gets[sid](iblock)
+                    if slot2 is not None:
+                        l2_statsl[sid].hits += 1
+                        if l2_mode == "age":
+                            pol2 = l2_pols[sid]
+                            l2_hit_arrays[sid][slot2] = pol2._tick
+                            pol2._tick += 1
+                        elif l2_mode == "zero":
+                            l2_hit_arrays[sid][slot2] = 0
+                        l2_tagsl[sid][slot2] = 0
+                    else:
+                        l2_miss_fills[sid](
+                            iblock, 0, iblock & l2_mask
+                            if l2_mask is not None else iblock % l2_nsets)
+                        latency += dram_access(iblock)
                     if covered:
                         # Prefetched, but the block still consumed L2
                         # bandwidth (the paper's partial contention
@@ -256,20 +401,47 @@ class SimulationEngine:
                         cycles += latency * covered_fraction
                     else:
                         cycles += latency
-                else:
-                    cycles += l2_access(core, iblock)
-                if miss_log is not None:
-                    miss_log.append(iblock)
-            elif use_prefetcher:
-                prefetcher.on_fetch(core, iblock, True)
-            dblock = dblocks[pos]
-            if dblock >= 0:
-                cycles += (
-                    access_data(core, dblock, dwrites[pos])
-                    - l1d_hit_latency
-                )
-            pos += 1
-            if switch_floor is not None and self.switch_requested:
+                    if miss_log is not None:
+                        miss_log.append(iblock)
+                        if stop_after_misses \
+                                and len(miss_log) >= stop_after_misses:
+                            flagged = True
+                dblock = dblocks[index]
+                if dblock >= 0:
+                    # The age loop's inline L1-D hit: a no-op directory
+                    # transition adds exactly zero latency.
+                    dwrite = dwrites[index]
+                    slot = d_where_get(dblock)
+                    entry = directory_get(dblock) \
+                        if slot is not None else None
+                    if entry is not None and (
+                        (entry.owner == core and len(entry.sharers) == 1)
+                        if dwrite else
+                        (core in entry.sharers
+                         and (entry.owner is None
+                              or entry.owner == core))
+                    ):
+                        d_hits += 1
+                        d_tags[slot] = 0
+                        if d_mode == "age":
+                            tick = d_pol._tick
+                            d_hit_array[slot] = tick
+                            d_pol._tick = tick + 1
+                        elif d_mode == "zero":
+                            d_hit_array[slot] = 0
+                    else:
+                        cycles += (
+                            access_data(core, dblock, dwrite)
+                            - l1d_hit_latency
+                        )
+                if flagged:
+                    break
+            else:
+                pos = end
+                break
+            pos = index + 1
+            flagged = False
+            if monitor and self.switch_requested:
                 if pos - start >= switch_floor or pos == n_events:
                     break
                 # Below the progress floor: absorb the request.
@@ -281,8 +453,17 @@ class SimulationEngine:
                     and len(miss_log) >= stop_after_misses:
                 break
 
-        if flat:
-            l1i.stats.hits += i_hits
+        i_stats = l1i.stats
+        i_stats.hits += i_hits
+        i_stats.misses += i_misses
+        i_stats.evictions += i_evictions
+        l1d_stats.hits += d_hits
+        # Exactly one L2 message crosses the torus per L1-I miss.
+        hier = self.hier
+        hier.l2_demand_traffic += i_misses
+        noc = hier.noc
+        noc.messages += i_misses
+        noc.total_hops += noc_hops
         thread.pos = pos
         thread.instructions_done += instructions
         self.total_instructions += instructions
@@ -362,7 +543,8 @@ class SimulationEngine:
         The entire L1-I and L2 access/fill machinery is inlined as
         dict/array operations over the flat cache layout; replacement
         is the age-stamp dance directly.  Charges and side effects are
-        ordered exactly as in :meth:`_run_events_general`, so every
+        ordered exactly as in the reference loop
+        (:func:`repro.verify.reference.run_events_reference`), so every
         result is bit-identical to it.  The event walk is a ``for``
         over a list slice -- no per-event index arithmetic.
 

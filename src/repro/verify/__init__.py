@@ -6,10 +6,11 @@ Four layers (see DESIGN.md, decisions 12 and 15):
 * :mod:`repro.verify.oracles` — ``REPRO_SIM_CHECK=1`` arms in-engine
   invariant checks (conservation, monotonicity, phase-tag ranges,
   result reconciliation); breaches raise :class:`InvariantViolation`.
-* :mod:`repro.verify.reference` — the reference kernel's cache layer
-  (per-set-dict caches, recency-stack policies, the generic L2 route),
-  built by engines constructed with ``reference=True``.  It is the
-  differential oracle for the fast kernel.
+* :mod:`repro.verify.reference` — the reference kernel: its cache
+  layer (per-set-dict caches, recency-stack policies, the generic L2
+  route) and its event loop, run by engines constructed with
+  ``reference=True``.  It is the differential oracle for the fast
+  kernel.
 * :mod:`repro.verify.generators` — seeded hostile-case generation
   (:class:`FuzzCase` / :class:`CaseGenerator`), JSON round-trippable.
 * :mod:`repro.verify.harness` — the differential harness

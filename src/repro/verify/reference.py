@@ -1,21 +1,26 @@
-"""The reference kernel's cache layer: the differential oracle.
+"""The reference kernel: the differential oracle.
 
 ``SimulationEngine(..., reference=True)`` (and everything that forwards
 ``reference=`` to it) builds a :class:`ReferenceHierarchy` instead of a
-:class:`~repro.cache.hierarchy.MemoryHierarchy`.  Its caches keep the
-original per-set-dict layout (:class:`ReferenceCache`) driven by the
-original recency-stack and nested-RRPV replacement policies (the
-``Reference*Policy`` family), and its L2 access takes the generic
-``noc.latency`` + :meth:`Cache.access` route.  The engine runs it
-through the general event loop, which calls :meth:`ReferenceCache.access`
-per instruction fetch instead of probing a flat layout inline.
+:class:`~repro.cache.hierarchy.MemoryHierarchy` and runs
+:func:`run_events_reference` instead of one of the fast kernel's two
+loops.  Its caches keep the original per-set-dict layout
+(:class:`ReferenceCache`) driven by the original recency-stack and
+nested-RRPV replacement policies (the ``Reference*Policy`` family), its
+L2 access takes the generic ``noc.latency`` + :meth:`Cache.access`
+route, and its loop makes each of these steps a call: one
+:meth:`ReferenceCache.access` per instruction fetch, the prefetcher's
+``covers``/``record``/``on_fetch`` per miss, ``access_data`` per data
+reference.  The oracle owns its cache, its policies, its L2 route and
+its loop; the fast kernel shares none of them.
 
 Nothing here is on a production path.  It exists so the parity tests,
 ``repro diff --reference``, the fuzz harness and ``repro perf`` can
 require byte-equal results between two independent implementations of
-the cache layer (DESIGN.md, decision 12).  Both families consume the
-RNG at exactly the same call sites, so stochastic policies
-(BIP/DIP/BRRIP) stay bit-reproducible across kernels.
+the cache layer and the event loop (DESIGN.md, decision 12).  Both
+families consume the RNG at exactly the same call sites, in the same
+order, so stochastic policies (BIP/DIP/BRRIP) stay bit-reproducible
+across kernels.
 
 This module is imported lazily, only by engines built with
 ``reference=True``.
@@ -316,3 +321,96 @@ class ReferenceHierarchy(MemoryHierarchy):
         if not slice_cache.access(block):
             latency += self.dram.access(block)
         return latency
+
+
+# ----------------------------------------------------------------------
+# Event loop
+# ----------------------------------------------------------------------
+def run_events_reference(
+    engine,
+    core: int,
+    thread,
+    max_events: int,
+    tag: int,
+    switch_floor: Optional[int],
+    miss_log: Optional[list],
+    stop_after_misses: int,
+) -> int:
+    """The reference kernel's event loop, bound to an engine built
+    with ``reference=True``.
+
+    Same contract as :meth:`repro.sim.engine.SimulationEngine.run_events`,
+    written as plainly as possible: every L1-I fetch is one
+    :meth:`ReferenceCache.access`, every L1-I miss asks the prefetcher
+    through ``covers``, ``record`` and ``on_fetch`` and charges
+    ``_l2_access``, every hit calls ``on_fetch``, every data reference
+    goes through ``access_data``, and switch requests and the miss
+    bound are checked after every event.  The fast kernel's two loops
+    inline all of this and must match it bit for bit.
+    """
+    iblocks, ilens, dblocks, dwrites = thread.trace.event_columns()
+    n_events = len(iblocks)
+    pos = thread.pos
+    end = min(n_events, pos + max_events)
+    hier = engine.hier
+    l1i_access = hier.l1i[core].access
+    l1d_hit_latency = hier.l1d[core].config.hit_latency
+    access_data = hier.access_data
+    l2_access = hier._l2_access
+    prefetcher = hier.prefetcher
+    use_prefetcher = engine.prefetcher_active
+    cpi = engine.config.core.base_cpi
+    covered_fraction = engine.config.core.covered_stall_fraction
+    cycles = 0.0
+    instructions = 0
+    start = pos
+
+    while pos < end:
+        iblock = iblocks[pos]
+        ilen = ilens[pos]
+        instructions += ilen
+        hit = l1i_access(iblock, tag)
+        cycles += ilen * cpi
+        if not hit:
+            if use_prefetcher:
+                covered = prefetcher.covers(core, iblock)
+                prefetcher.record(covered)
+                prefetcher.on_fetch(core, iblock, False)
+                latency = l2_access(core, iblock)
+                if covered:
+                    # Prefetched, but the block still consumed L2
+                    # bandwidth (the paper's partial contention
+                    # model for PIF).
+                    cycles += latency * covered_fraction
+                else:
+                    cycles += latency
+            else:
+                cycles += l2_access(core, iblock)
+            if miss_log is not None:
+                miss_log.append(iblock)
+        elif use_prefetcher:
+            prefetcher.on_fetch(core, iblock, True)
+        dblock = dblocks[pos]
+        if dblock >= 0:
+            cycles += (
+                access_data(core, dblock, dwrites[pos])
+                - l1d_hit_latency
+            )
+        pos += 1
+        if switch_floor is not None and engine.switch_requested:
+            if pos - start >= switch_floor or pos == n_events:
+                break
+            # Below the progress floor: absorb the request.
+            engine.switch_requested = False
+            engine.core_time[core] += int(cycles)
+            cycles = 0.0
+            end = min(n_events, pos + max_events)
+        if stop_after_misses and miss_log is not None \
+                and len(miss_log) >= stop_after_misses:
+            break
+
+    thread.pos = pos
+    thread.instructions_done += instructions
+    engine.total_instructions += instructions
+    engine.core_time[core] += int(cycles)
+    return pos - start

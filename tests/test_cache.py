@@ -163,7 +163,7 @@ class TestCountResident:
             1 for block in probe if cache.contains(block))
 
 
-class TestInvalidateAndFlush:
+class TestInvalidate:
     def test_invalidate_removes(self):
         cache = new_cache()
         cache.access(9)

@@ -14,16 +14,20 @@ objects rather than regenerating per path.
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 from repro import obs
+from repro.cache.replacement import make_policy
 from repro.config import tiny_scale
 from repro.exp.diff import reference_diff
 from repro.exp.spec import RunSpec
 from repro.obs import TRACE_ENV
 from repro.perf import run_bench
 from repro.prefetch.nextline import NextLinePrefetcher
+from repro.prefetch.pif import PifIdealPrefetcher
+from repro.prefetch.tifs import TifsPrefetcher
 from repro.sched.base import BaselineScheduler
 from repro.sched.strex import StrexScheduler
 from repro.sim.api import SCHEDULERS, simulate
@@ -86,7 +90,7 @@ class TestOtherShapes:
 
     def test_prefetcher_parity(self):
         # An active prefetcher forces the general loop on the fast
-        # path, so this pins down cache-layer (not loop) parity.
+        # path, against the reference loop.
         config = tiny_scale()
         traces = _traces("tpcc", config)
         _assert_parity(config, traces, "base", "tpcc",
@@ -179,28 +183,77 @@ class TestTracedParity:
         assert (tmp_path / "trace.jsonl").exists()
 
 
-class TestGeneralLoopCacheState:
-    """The general loop's inlined L1-I probe over the flat layout leaves
-    every L1-I as ``access()`` would: the same counters as the
-    reference layout, for each hit mode (none, age with set dueling,
-    age, zero), with and without a prefetcher."""
+#: Every registered policy the age loop cannot take.
+NON_AGE_POLICIES = tuple(
+    name for name in POLICIES
+    if make_policy(name, 1, 1, random.Random(0)).insert_mode != "age_mru")
 
-    @pytest.mark.parametrize("prefetcher", (None, NextLinePrefetcher))
-    @pytest.mark.parametrize("policy", ("random", "dip", "bip", "srrip"))
+
+def _hierarchy_state(engine) -> tuple:
+    """Every counter the fast loops keep in locals or inline."""
+    hier = engine.hier
+    return (
+        [[cache.stats.snapshot() for cache in level]
+         for level in (hier.l1i, hier.l1d, hier.l2)],
+        hier.l2_demand_traffic,
+        hier.noc.messages,
+        hier.noc.total_hops,
+        hier.prefetcher.covered_misses,
+        hier.prefetcher.uncovered_misses,
+    )
+
+
+def _assert_state_parity(config, scheduler, prefetcher) -> None:
+    traces = _traces("tpcc", config)
+    states = []
+    for reference in (False, True):
+        engine = SimulationEngine(config, traces, scheduler, prefetcher,
+                                  reference=reference)
+        assert not engine._age_kernel
+        result = json.dumps(engine.run("tpcc").to_dict(), sort_keys=True)
+        states.append((result, _hierarchy_state(engine)))
+    assert states[0] == states[1]
+    # Every L1-I and L2 really evicted, so full-set fills ran.
+    hier = engine.hier
+    assert all(cache.stats.evictions for cache in hier.l1i + hier.l2)
+
+
+PREFETCHERS = (None, NextLinePrefetcher, PifIdealPrefetcher,
+               TifsPrefetcher)
+
+
+class TestGeneralLoopCacheState:
+    """The general loop's inlined L1-I fill, home-slice L2 hit and
+    L1-D hit leave the hierarchy as the reference loop's calls do:
+    every L1-I, L1-D and L2 counter, the L2 demand traffic, the NoC's
+    messages and hops and the prefetcher's coverage counts, for every
+    non-age policy and with every prefetcher."""
+
+    @pytest.mark.parametrize("prefetcher", PREFETCHERS)
+    @pytest.mark.parametrize("policy", NON_AGE_POLICIES)
     def test_l1i_counters_match_reference(
             self, policy, prefetcher):
+        # The L1s only, as in Fig. 9: the L2 stays LRU, so its inline
+        # hit takes the age stamp.
         config = tiny_scale().with_l1_replacement(policy)
-        traces = _traces("tpcc", config)
-        states = []
-        for reference in (False, True):
-            engine = SimulationEngine(config, traces, StrexScheduler,
-                                      prefetcher, reference=reference)
-            assert not engine._age_kernel
-            result = json.dumps(engine.run("tpcc").to_dict(),
-                                sort_keys=True)
-            states.append((result, [
-                cache.stats.snapshot() for cache in engine.hier.l1i]))
-        assert states[0] == states[1]
+        _assert_state_parity(config, StrexScheduler, prefetcher)
+
+    @pytest.mark.parametrize("prefetcher", PREFETCHERS)
+    @pytest.mark.parametrize("policy", NON_AGE_POLICIES)
+    def test_every_level_matches_reference(self, policy, prefetcher):
+        config = tiny_scale().with_l1_replacement(policy)
+        config = dataclasses.replace(
+            config,
+            l2_slice=dataclasses.replace(config.l2_slice,
+                                         replacement=policy),
+        )
+        _assert_state_parity(config, BaselineScheduler, prefetcher)
+
+    @pytest.mark.parametrize("prefetcher", PREFETCHERS[1:])
+    def test_age_policies_with_a_prefetcher(self, prefetcher):
+        # LRU with a prefetcher takes the general loop's inlined
+        # min-age fill.
+        _assert_state_parity(tiny_scale(), StrexScheduler, prefetcher)
 
 
 class MultiCallStrex(StrexScheduler):
@@ -234,10 +287,9 @@ class MultiCallStrex(StrexScheduler):
 
 
 #: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
-#: takes the age loop; BIP (``fast``) takes the general loop over the
-#: fast kernel's flat caches, and a prefetcher the general loop too; on
-#: the reference kernel all three take the general loop over the
-#: reference caches.
+#: takes the age loop; BIP (``fast``) takes the general loop, and a
+#: prefetcher the general loop too, with the L1-I's min-age fill; on the
+#: reference kernel all three take the reference loop.
 FLOOR_LOOPS = {
     "age": (lambda config: config, None),
     "fast": (lambda config: config.with_l1_replacement("bip"), None),

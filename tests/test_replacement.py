@@ -160,6 +160,81 @@ class TestSrrip:
         assert 0 <= victim < 4
 
 
+class TestSrripAging:
+    """The one-step aging is the original age-by-one loop."""
+
+    @staticmethod
+    def _age_by_one(rrpvs, distant):
+        while True:
+            for way, value in enumerate(rrpvs):
+                if value == distant:
+                    return way
+            rrpvs[:] = [value + 1 for value in rrpvs]
+
+    @pytest.mark.parametrize("rrpvs", [
+        [0, 0, 0, 0], [2, 1, 2, 0], [1, 0, 1, 1], [0, 2, 2, 1],
+        [3, 0, 1, 2], [2, 3, 3, 0],
+    ])
+    def test_matches_aging_by_one(self, rrpvs):
+        policy = _policy("srrip", num_sets=2, assoc=4)
+        policy._rrpv[4:8] = rrpvs
+        expected = list(rrpvs)
+        way = self._age_by_one(expected, policy.rrpv_max)
+        assert policy.victim_slot(1) == 4 + way
+        assert policy._rrpv == [3] * 4 + expected
+
+
+def _state(policy):
+    """A policy's whole replacement state, its RNG included."""
+    state = {key: (list(value) if isinstance(value, list) else value)
+             for key, value in vars(policy).items() if key != "rng"}
+    return state, policy.rng.getstate()
+
+
+class TestReplace:
+    """``replace(s)`` is ``victim_slot(s)`` then ``insert_slot`` of
+    that slot: the same slot, policy state and RNG state."""
+
+    @staticmethod
+    def _warm(name, seed, ops):
+        policy = _policy(name, num_sets=4, assoc=4, seed=seed)
+        for slot, hit in ops:
+            policy.insert_slot(slot)
+            if hit:
+                policy.hit_slot(slot)
+            policy.on_miss(slot // 4)
+        return policy
+
+    @pytest.mark.parametrize("name", [
+        "lru", "fifo", "random", "lip", "bip", "dip", "srrip", "brrip"
+    ])
+    @pytest.mark.parametrize("hit_every", (1, 2, 3, 1_000))
+    def test_replace_is_victim_then_insert(self, name, hit_every):
+        ops = [(slot, slot % hit_every == 0) for slot in range(16)]
+        replaced = self._warm(name, 3, ops)
+        stepped = self._warm(name, 3, ops)
+        for round_ in range(40):
+            set_index = round_ % 4
+            slot = stepped.victim_slot(set_index)
+            stepped.insert_slot(slot)
+            assert replaced.replace(set_index) == slot
+            assert _state(replaced) == _state(stepped)
+            if round_ % hit_every == 0:
+                replaced.hit_slot(slot)
+                stepped.hit_slot(slot)
+
+    @pytest.mark.parametrize("name", ("srrip", "brrip"))
+    def test_replace_ages_a_set_without_a_distant_block(self, name):
+        replaced = _policy(name, num_sets=2, assoc=4, seed=9)
+        stepped = _policy(name, num_sets=2, assoc=4, seed=9)
+        for policy in (replaced, stepped):
+            policy._rrpv[4:8] = [1, 0, 2, 1]
+        slot = stepped.victim_slot(1)
+        stepped.insert_slot(slot)
+        assert replaced.replace(1) == slot == 6
+        assert _state(replaced) == _state(stepped)
+
+
 class TestBrrip:
     def test_mostly_distant_insertion(self):
         policy = _policy("brrip", num_sets=1, assoc=2, seed=5)

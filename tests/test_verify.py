@@ -38,6 +38,7 @@ from repro.verify import (
     shrink_case,
     synthetic_traces,
 )
+from repro.verify import reference
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -239,18 +240,16 @@ class TestRunCase:
         assert "construction failed" in outcome.detail
 
     def test_kernel_divergence_is_a_mismatch(self, monkeypatch):
-        # Perturb only the general event loop -- with no prefetcher
-        # the fast kernel never enters it, so only the reference run
-        # moves and the byte-equality bar must flag the divergence.
-        original = SimulationEngine._run_events_general
+        # Perturb only the reference event loop, so only the reference
+        # run moves and the byte-equality bar must flag the divergence.
+        original = reference.run_events_reference
 
-        def slower(self, core, *args, **kwargs):
-            executed = original(self, core, *args, **kwargs)
-            self.core_time[core] += 1
+        def slower(engine, core, *args, **kwargs):
+            executed = original(engine, core, *args, **kwargs)
+            engine.core_time[core] += 1
             return executed
 
-        monkeypatch.setattr(SimulationEngine, "_run_events_general",
-                            slower)
+        monkeypatch.setattr(reference, "run_events_reference", slower)
         outcome = run_case(tiny_case())
         assert outcome.status == "mismatch"
         assert "cycles" in outcome.detail
@@ -408,15 +407,14 @@ class TestCampaigns:
 
     def test_failures_are_shrunk_and_saved(self, monkeypatch,
                                            tmp_path):
-        original = SimulationEngine._run_events_general
+        original = reference.run_events_reference
 
-        def slower(self, core, *args, **kwargs):
-            executed = original(self, core, *args, **kwargs)
-            self.core_time[core] += 1
+        def slower(engine, core, *args, **kwargs):
+            executed = original(engine, core, *args, **kwargs)
+            engine.core_time[core] += 1
             return executed
 
-        monkeypatch.setattr(SimulationEngine, "_run_events_general",
-                            slower)
+        monkeypatch.setattr(reference, "run_events_reference", slower)
         report = replay_cases([tiny_case(name="bad")], shrink=True,
                               save_dir=tmp_path)
         assert report.exit_code() == 1
