@@ -4,7 +4,10 @@ Runs one simulation (or a core sweep) of a chosen workload under a
 chosen scheduler and prints the paper's metrics.  The ``sweep``
 subcommand expands a full parameter grid and drives it through the
 ``repro.exp`` runner (parallel workers + content-addressed result
-cache).
+cache); a killed sweep resumes when rerun, its finished cells coming
+back as cache hits.  ``main()`` dispatches every subcommand through
+the ``COMMANDS`` table; with no subcommand it runs the flag-only
+single run or core sweep.
 
 The ``shard`` subcommand splits a sweep across machines (or CI jobs)
 by hash-range of the content-addressed cache key: ``--shard i/N`` runs
@@ -40,15 +43,6 @@ for per-span-name self/total time, hottest cells, and kernel counter
 rollups; ``tree`` for the nested span tree per process; ``export
 --json`` for the machine-readable rollup.  ``perf --trace`` embeds
 the kernel counters of a traced run in the bench report.
-
-The ``serve``/``submit``/``status`` subcommands are the persistent
-sweep service (``repro.svc``): ``submit`` enqueues a grid as one job
-on the service's bounded priority queue (``--wait`` blocks until the
-job finishes), ``serve`` runs queued jobs one at a time through the
-same runner as ``sweep`` with ``--workers`` pool processes, and
-``status`` reports queue depth and job outcomes (``--json`` for CI).
-Served results are byte-identical to ``repro sweep`` on the same
-cache.
 
 Examples::
 
@@ -91,11 +85,6 @@ Examples::
         --workloads tpcc tpce --schedulers base strex slicc hybrid
     python -m repro baseline check baselines/ci-tiny.json
     python -m repro baseline update baselines/ci-tiny.json
-    python -m repro serve --workers 4
-    python -m repro submit --workloads tpcc tpce --schedulers base \\
-        --cores 1 2 --scales tiny --wait
-    python -m repro submit --workloads tpcc --priority 1 --wait
-    python -m repro status --json
 """
 
 from __future__ import annotations
@@ -113,7 +102,6 @@ from repro.exp import (
     Manifest,
     ResultCache,
     Runner,
-    RunSpec,
     ShardSpec,
     SweepSpec,
     Tolerance,
@@ -285,15 +273,13 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_exp_sweep(argv: List[str]) -> str:
-    """Execute the ``sweep`` subcommand; returns the printed report."""
+def run_exp_sweep(argv: List[str]) -> Tuple[str, int]:
+    """Execute the ``sweep`` subcommand; returns (report, exit code)."""
     args = build_sweep_parser().parse_args(argv)
     sweep = _grid_sweep(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    manifest = None if args.no_cache \
-        else Manifest(args.cache_dir / "manifest.jsonl")
-    runner = Runner(jobs=args.jobs, cache=cache, manifest=manifest,
-                    timeout=args.timeout, retries=args.retries)
+    runner = Runner(jobs=args.jobs, cache=cache, timeout=args.timeout,
+                    retries=args.retries)
     specs = sweep.expand()
     results = runner.run(specs)
 
@@ -335,7 +321,7 @@ def run_exp_sweep(argv: List[str]) -> str:
     )
     if cache is not None:
         summary += f" (cache: {args.cache_dir})"
-    return table + "\n" + summary
+    return table + "\n" + summary, 0
 
 
 def build_shard_parser() -> argparse.ArgumentParser:
@@ -363,33 +349,16 @@ def build_shard_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shard-dir", type=Path, default=None,
                         help="private cache directory for --shard "
                              "(default: <cache-dir>/shards/<i>-of-<n>)")
-    parser.add_argument("--specs-file", type=Path, default=None,
-                        metavar="JSON",
-                        help="run this JSON list of RunSpec dicts "
-                             "instead of expanding the grid flags")
     return parser
 
 
-def _shard_specs(args) -> List[RunSpec]:
-    """The spec list a ``shard`` invocation operates on."""
-    if args.specs_file is not None:
-        data = json.loads(args.specs_file.read_text())
-        if not isinstance(data, list):
-            raise ValueError(
-                f"--specs-file must hold a JSON list of RunSpec "
-                f"objects, got {type(data).__name__}"
-            )
-        return [RunSpec.from_dict(item) for item in data]
-    return _grid_sweep(args).expand()
-
-
-def run_shard_cmd(argv: List[str]) -> str:
-    """Execute the ``shard`` subcommand; returns the printed report."""
+def run_shard_cmd(argv: List[str]) -> Tuple[str, int]:
+    """Execute the ``shard`` subcommand; returns (report, exit code)."""
     args = build_shard_parser().parse_args(argv)
     if args.merge is not None:
         report = merge_caches(ResultCache(args.cache_dir), args.merge)
-        return f"{report.describe()} -> {args.cache_dir}"
-    specs = _shard_specs(args)
+        return f"{report.describe()} -> {args.cache_dir}", 0
+    specs = _grid_sweep(args).expand()
     root = args.shard_dir if args.shard_dir is not None \
         else shard_root(args.cache_dir, args.shard)
     outcome = run_shard(specs, args.shard, root, jobs=args.jobs,
@@ -400,7 +369,8 @@ def run_shard_cmd(argv: List[str]) -> str:
         f"executed\n"
         f"private cache: {root}\n"
         f"merge with: python -m repro shard --merge {root} "
-        f"--cache-dir {args.cache_dir}"
+        f"--cache-dir {args.cache_dir}",
+        0,
     )
 
 
@@ -433,8 +403,8 @@ def build_manifest_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_manifest(argv: List[str]) -> str:
-    """Execute the ``manifest`` subcommand; returns the report."""
+def run_manifest(argv: List[str]) -> Tuple[str, int]:
+    """Execute the ``manifest`` subcommand; returns (report, code)."""
     from datetime import datetime
 
     args = build_manifest_parser().parse_args(argv)
@@ -444,7 +414,7 @@ def run_manifest(argv: List[str]) -> str:
             raise ValueError("--keep-last must be positive")
         kept, dropped = manifest.compact(args.keep_last)
         return (f"compacted {args.path}: kept {kept} row(s) from the "
-                f"last {args.keep_last} sweep(s), dropped {dropped}")
+                f"last {args.keep_last} sweep(s), dropped {dropped}", 0)
     entries = manifest.read()
     if args.since is not None:
         try:
@@ -457,9 +427,9 @@ def run_manifest(argv: List[str]) -> str:
                    if e.ts is not None and e.ts >= cutoff]
     summary = summarize_entries(entries, top=args.top)
     if args.json:
-        return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(summary.to_dict(), indent=2, sort_keys=True), 0
     if not entries:
-        return f"no manifest entries at {args.path}"
+        return f"no manifest entries at {args.path}", 0
     lines = [
         f"manifest: {args.path}",
         f"{summary.runs} runs: {summary.hits} cache hits, "
@@ -483,7 +453,7 @@ def run_manifest(argv: List[str]) -> str:
             ["wall (s)", "spec", "key"],
             [[round(wall, 3), label, key[:12]]
              for wall, label, key in summary.slowest]))
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
 def _add_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
@@ -928,229 +898,37 @@ def run_trace(argv: List[str]) -> Tuple[str, int]:
     return format_summary(summary), 0
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Parser for the ``serve`` subcommand (the sweep service)."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Start the persistent sweep service.  Jobs arrive "
-                    "via 'repro submit' on a bounded, priority-aware, "
-                    "file-backed queue and run one at a time through "
-                    "the same runner as 'repro sweep', so results land "
-                    "in the same ResultCache/Manifest (byte-identical "
-                    "entries).  SIGTERM stops the service: the running "
-                    "job is abandoned and resumed by the next serve, "
-                    "with its finished cells served from the cache.",
-    )
-    parser.add_argument("--workers", type=int, default=2,
-                        help="pool processes per job; 1 runs cells "
-                             "inline in the supervisor (default 2)")
-    parser.add_argument("--cache-dir", type=Path,
-                        default=DEFAULT_CACHE_DIR)
-    parser.add_argument("--svc-dir", type=Path, default=None,
-                        help="service state directory (default: "
-                             "<cache-dir>/svc)")
-    parser.add_argument("--queue-capacity", type=int, default=None,
-                        help="bound on pending jobs before submit "
-                             "pushes back (default 256)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock budget in seconds")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="extra attempts after transient failures")
-    parser.add_argument("--poll-interval", type=float, default=0.05,
-                        help="supervisor loop idle wait in seconds")
-    return parser
-
-
-def run_serve(argv: List[str]) -> str:
-    """Execute the ``serve`` subcommand (blocks until SIGTERM)."""
-    from repro.svc import Supervisor
-
-    args = build_serve_parser().parse_args(argv)
-    supervisor = Supervisor(
-        args.cache_dir,
-        svc_root=args.svc_dir,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        queue_capacity=args.queue_capacity,
-        poll_interval=args.poll_interval,
-    )
-    print(f"serving {supervisor.svc_root} with {supervisor.workers} "
-          f"worker(s) (pid {os.getpid()}); SIGTERM stops",
-          flush=True)
-    try:
-        supervisor.serve()
-    except RuntimeError as exc:
-        raise ValueError(str(exc)) from exc
-    return f"service at {supervisor.svc_root} stopped"
-
-
-def _svc_root(args) -> Path:
-    """The service directory a submit/status invocation targets."""
-    from repro.svc import svc_root_for
-
-    if args.svc_dir is not None:
-        return args.svc_dir
-    return svc_root_for(args.cache_dir)
-
-
-def build_submit_parser() -> argparse.ArgumentParser:
-    """Parser for the ``submit`` subcommand (enqueue onto the service)."""
-    parser = argparse.ArgumentParser(
-        prog="repro submit",
-        description="Enqueue a sweep grid as one job on the sweep "
-                    "service's bounded priority queue.  The job is "
-                    "durable: it survives a service restart and can "
-                    "be submitted before the service starts.  --wait "
-                    "blocks until the job finishes and prints its "
-                    "outcome.",
-    )
-    _add_grid_arguments(parser)
-    parser.add_argument("--cache-dir", type=Path,
-                        default=DEFAULT_CACHE_DIR)
-    parser.add_argument("--svc-dir", type=Path, default=None,
-                        help="service state directory (default: "
-                             "<cache-dir>/svc)")
-    parser.add_argument("--priority", type=int, default=None,
-                        help="0 (most urgent) .. 9; default 5")
-    parser.add_argument("--block", action="store_true",
-                        help="at queue capacity, wait for space "
-                             "instead of failing")
-    parser.add_argument("--wait", action="store_true",
-                        help="block until the job finishes; exit "
-                             "nonzero if it failed")
-    parser.add_argument("--wait-timeout", type=float, default=None,
-                        metavar="S",
-                        help="give up waiting after S seconds")
-    return parser
-
-
-def run_submit(argv: List[str]) -> Tuple[str, int]:
-    """Execute the ``submit`` subcommand; returns (report, code)."""
-    from repro.svc import (
-        DEFAULT_PRIORITY,
-        JobFailed,
-        QueueFull,
-        submit_job,
-        wait_job,
-    )
-
-    args = build_submit_parser().parse_args(argv)
-    root = _svc_root(args)
-    specs = _grid_sweep(args).expand()
-    try:
-        job_id = submit_job(
-            root, specs,
-            priority=(args.priority if args.priority is not None
-                      else DEFAULT_PRIORITY),
-            block=args.block,
-            timeout=args.wait_timeout,
-        )
-    except QueueFull as exc:
-        return f"queue full: {exc} (retry with --block)", 1
-    header = (f"submitted job {job_id}: {len(specs)} cell(s) "
-              f"-> {root}")
-    if not args.wait:
-        return (header + f"\nwait with: python -m repro status "
-                f"--svc-dir {root}", 0)
-    try:
-        record = wait_job(root, job_id, timeout=args.wait_timeout)
-    except JobFailed as exc:
-        return header + f"\n{exc}", 1
-    return (
-        header + "\n"
-        f"job {job_id} {record['state']}: "
-        f"{record.get('done', 0)} done, "
-        f"{record.get('cache_hits', 0)} cache hit(s), "
-        f"{record.get('executed', 0)} executed, "
-        f"warm {100.0 * (record.get('warm_rate') or 0.0):.1f}%, "
-        f"wall {record.get('wall_s', 0.0):.3f}s "
-        f"(queued {record.get('queue_wait_s', 0.0):.3f}s)",
-        0,
-    )
-
-
-def build_status_parser() -> argparse.ArgumentParser:
-    """Parser for the ``status`` subcommand (service snapshot)."""
-    parser = argparse.ArgumentParser(
-        prog="repro status",
-        description="Report the sweep service's state: supervisor "
-                    "liveness, queue depth vs capacity, and job "
-                    "outcomes (cache hits, executed cells, warm "
-                    "rate).  Read-only and file-based: works "
-                    "whether or not the service is running.",
-    )
-    parser.add_argument("--cache-dir", type=Path,
-                        default=DEFAULT_CACHE_DIR)
-    parser.add_argument("--svc-dir", type=Path, default=None,
-                        help="service state directory (default: "
-                             "<cache-dir>/svc)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable snapshot")
-    return parser
-
-
-def run_status(argv: List[str]) -> str:
-    """Execute the ``status`` subcommand; returns the report."""
-    from repro.svc import format_status, service_status
-
-    args = build_status_parser().parse_args(argv)
-    status = service_status(_svc_root(args))
-    if args.json:
-        return json.dumps(status, indent=2, sort_keys=True)
-    return format_status(status)
+#: Subcommand name -> its runner.  Each runner parses its own argv
+#: and returns ``(report, exit code)``.
+COMMANDS = {
+    "sweep": run_exp_sweep,
+    "shard": run_shard_cmd,
+    "manifest": run_manifest,
+    "perf": run_perf,
+    "diff": run_diff,
+    "fuzz": run_fuzz,
+    "baseline": run_baseline,
+    "trace": run_trace,
+}
 
 
 def main(argv=None) -> int:
     """CLI entry point."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] == "sweep":
-            print(run_exp_sweep(argv[1:]))
-            return 0
-        if argv and argv[0] == "shard":
-            print(run_shard_cmd(argv[1:]))
-            return 0
-        if argv and argv[0] == "manifest":
-            print(run_manifest(argv[1:]))
-            return 0
-        if argv and argv[0] == "perf":
-            text, code = run_perf(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "diff":
-            text, code = run_diff(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "fuzz":
-            text, code = run_fuzz(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "baseline":
-            text, code = run_baseline(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "trace":
-            text, code = run_trace(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "serve":
-            print(run_serve(argv[1:]))
-            return 0
-        if argv and argv[0] == "submit":
-            text, code = run_submit(argv[1:])
-            print(text)
-            return code
-        if argv and argv[0] == "status":
-            print(run_status(argv[1:]))
-            return 0
-        args = build_parser().parse_args(argv)
-        report = run_sweep(args) if args.sweep else run_single(args)
+        command = COMMANDS.get(argv[0]) if argv else None
+        if command is not None:
+            text, code = command(argv[1:])
+        else:
+            # No subcommand: the flag-only single run / core sweep.
+            args = build_parser().parse_args(argv)
+            text = run_sweep(args) if args.sweep else run_single(args)
+            code = 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report)
-    return 0
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ The subsystem has four parts (see DESIGN.md §3):
   audit trail of every run (key, hit/miss, wall time, worker, shard).
 
 :class:`Runner` is the one executor of cells: ``repro sweep``, the
-benchmarks, one shard of a sweep and every job of the sweep service
-(:mod:`repro.svc`) all run through it.
+benchmarks and one shard of a sweep all run through it.  A killed
+sweep resumes when rerun on the same cache: its finished cells are
+cache hits.
 
 :mod:`repro.exp.shard` layers cross-machine sharding on top: a
 :class:`ShardSpec` partitions any sweep by hash-range of the cache

@@ -168,11 +168,10 @@ def _worker_run(spec: RunSpec, timeout: Optional[float]):
     The alarm is armed only when the platform has ``SIGALRM`` *and*
     this is the process's main thread: signal handlers can only be
     installed there.  Pool workers and the runner's serial path (the
-    CLI, the sweep service's supervisor) run cells on a main thread;
-    a library caller that drives a :class:`Runner` from another thread
-    does not.  When a timeout is requested but cannot be armed, the
-    run falls back to no-timeout with a one-time warning instead of
-    crashing on ``signal.signal``.
+    CLI) run cells on a main thread; a library caller that drives a
+    :class:`Runner` from another thread does not.  When a timeout is
+    requested but cannot be armed, the run falls back to no-timeout
+    with a one-time warning instead of crashing on ``signal.signal``.
     """
     global _TIMEOUT_UNARMED_WARNED
     start = time.perf_counter()

@@ -45,9 +45,9 @@ def validate_run_request(
 ) -> None:
     """Raise ``ValueError`` for combos :func:`simulate` would reject.
 
-    Cheap (no engine, no traces), so callers that queue work for later
-    execution — the sweep service's ``submit`` — can fail fast instead
-    of shipping a cell that can only die inside a worker.
+    :func:`simulate` calls it before building an engine; it is cheap
+    (no engine, no traces), so it is also exported for callers that
+    want to check a cell before running it.
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(

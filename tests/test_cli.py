@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import (
+    COMMANDS,
     build_parser,
     build_shard_parser,
     build_sweep_parser,
@@ -173,3 +174,23 @@ class TestShardSubcommand:
         assert main(["sweep", "--cache-dir", str(shared)] +
                     self.GRID) == 0
         assert "4 cache hits, 0 executed" in capsys.readouterr().out
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_reaches_the_commands_own_parser(self, command,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    def test_retired_service_command_is_a_usage_error(self, capsys):
+        """``serve`` is no subcommand, so it falls through to the
+        flag-only parser, which rejects it as a stray argument."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert "unrecognized arguments: serve" in err

@@ -13,15 +13,15 @@ fixtures, and those are cut short by the in-worker alarm.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import warnings
 
 import pytest
-
-import signal
 
 import repro
 import repro.exp.cache as cache_mod
@@ -239,9 +239,9 @@ class TestThreadedTimeout:
     """A timed cell run off the main thread must not die arming
     SIGALRM (``signal.signal`` raises ``ValueError`` anywhere but the
     main thread): it falls back to no-timeout with one warning per
-    process.  Pool workers and the serial path (the CLI, the sweep
-    service's supervisor) run on a main thread; this covers a library
-    caller that drives a runner from its own thread."""
+    process.  Pool workers and the serial path (the CLI) run on a main
+    thread; this covers a library caller that drives a runner from its
+    own thread."""
 
     @pytest.fixture(autouse=True)
     def _fresh_warning_state(self, monkeypatch):
@@ -347,6 +347,38 @@ def _exit_zero():
     os._exit(0)
 
 
+def _block_once_on(marker_path, victim):
+    """An ``execute_spec`` stand-in: the first execution of ``victim``
+    (marker claimed with O_EXCL) blocks, so a test can kill the sweep
+    mid-run; later executions run normally."""
+    real = execute_spec
+
+    def blocking(spec):
+        if spec == victim:
+            try:
+                fd = os.open(marker_path, os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                return real(spec)
+            os.close(fd)
+            time.sleep(120.0)
+        return real(spec)
+
+    return blocking
+
+
+def _sweep_in_own_group(root, specs):
+    """Forked two-worker sweep entry: in its own process group, so a
+    test can SIGKILL it together with its pool workers."""
+    os.setpgrp()
+    Runner(jobs=2, cache=ResultCache(root)).run(specs)
+
+
+def _executed_rows(root):
+    """How many executed (non-hit) manifest rows the cache holds."""
+    rows = Manifest(root / "manifest.jsonl").read()
+    return sum(1 for row in rows if not row.hit)
+
+
 @needs_fork
 class TestPoolWorkerDeaths:
     """A pool worker that dies mid-cell — SIGKILLed, or a lying clean
@@ -393,6 +425,39 @@ class TestPoolWorkerDeaths:
         victim_rows = [e for e in runner.entries
                        if e.key == spec_key(victim)]
         assert [e.attempts for e in victim_rows] == [2]
+        self._assert_clean(tmp_path, specs, root, results)
+
+    def test_killed_sweep_resumes_from_the_cache(self, tmp_path,
+                                                 monkeypatch):
+        """A sweep SIGKILLed with its pool while its last cell runs
+        loses no finished cell: rerunning it on the same cache answers
+        every finished cell as a hit and executes only the lost one."""
+        specs, victim = self._specs()
+        monkeypatch.setattr(
+            runner_mod, "execute_spec",
+            _block_once_on(str(tmp_path / "blocked"), victim))
+        root = tmp_path / "killed"
+        process = multiprocessing.get_context("fork").Process(
+            target=_sweep_in_own_group, args=(root, specs))
+        process.start()
+        try:
+            deadline = time.monotonic() + 120.0
+            while _executed_rows(root) < len(specs) - 1:
+                assert process.is_alive(), "sweep exited early"
+                assert time.monotonic() < deadline, "sweep never ran"
+                time.sleep(0.05)
+            assert os.path.exists(tmp_path / "blocked")
+            os.killpg(process.pid, signal.SIGKILL)
+            process.join(60.0)
+            assert not process.is_alive()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)  # on a failure
+            process.join(60.0)
+
+        runner = Runner(cache=ResultCache(root))
+        results = runner.run(specs)
+        assert (runner.hits, runner.misses) == (len(specs) - 1, 1)
         self._assert_clean(tmp_path, specs, root, results)
 
     @pytest.mark.parametrize("die", [_sigkill_self, _exit_zero],

@@ -298,11 +298,11 @@ class TestManifestRetention:
                                       wall_s=0.0))
         manifest.record(_row("early", 1.0, "sweep-a"))
         # 2026-08-01T00:00:00 UTC is far past ts=1.0.
-        out = run_manifest(["--path", str(path), "--json",
-                            "--since", "2026-08-01T00:00:00"])
+        out, _ = run_manifest(["--path", str(path), "--json",
+                               "--since", "2026-08-01T00:00:00"])
         assert json_mod.loads(out)["runs"] == 0
-        out = run_manifest(["--path", str(path), "--json",
-                            "--since", "1970-01-01T00:00:00"])
+        out, _ = run_manifest(["--path", str(path), "--json",
+                               "--since", "1970-01-01T00:00:00"])
         assert json_mod.loads(out)["runs"] == 1
 
     def test_since_rejects_garbage(self, tmp_path):
@@ -319,7 +319,8 @@ class TestManifestRetention:
         manifest = Manifest(path)
         manifest.record(_row("a", 1.0, "sweep-a"))
         manifest.record(_row("b", 2.0, "sweep-b"))
-        out = run_manifest(["--path", str(path), "--keep-last", "1"])
+        out, _ = run_manifest(["--path", str(path),
+                               "--keep-last", "1"])
         assert "kept 1 row(s)" in out
         assert [e.key for e in manifest.read()] == ["b"]
 
