@@ -7,7 +7,8 @@ subcommand expands a full parameter grid and drives it through the
 cache); a killed sweep resumes when rerun, its finished cells coming
 back as cache hits.  ``main()`` dispatches every subcommand through
 the ``COMMANDS`` table; with no subcommand it runs the flag-only
-single run or core sweep.
+single run or core sweep, and a first word that is neither a flag nor
+a command is a usage error naming the commands.
 
 The ``shard`` subcommand splits a sweep across machines (or CI jobs)
 by hash-range of the content-addressed cache key: ``--shard i/N`` runs
@@ -129,6 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="STREX (ISCA 2013) reproduction: simulate OLTP "
                     "workloads under conventional, STREX, SLICC, or "
                     "hybrid scheduling.",
+        epilog=f"commands: {', '.join(sorted(COMMANDS))}.  Run "
+               "'python -m repro COMMAND --help' for each; without a "
+               "command, the options above run one simulation, or a "
+               "core sweep with --sweep.",
     )
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         default="tpcc")
@@ -921,7 +926,11 @@ def main(argv=None) -> int:
             text, code = command(argv[1:])
         else:
             # No subcommand: the flag-only single run / core sweep.
-            args = build_parser().parse_args(argv)
+            parser = build_parser()
+            if argv and not argv[0].startswith("-"):
+                parser.error(f"unknown command {argv[0]!r}; choose from "
+                             f"{', '.join(sorted(COMMANDS))}")
+            args = parser.parse_args(argv)
             text = run_sweep(args) if args.sweep else run_single(args)
             code = 0
     except ValueError as exc:

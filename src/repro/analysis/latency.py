@@ -5,14 +5,16 @@ transaction queue until it completes.  Fig. 7 plots the latency
 histogram for the baseline, STREX as a function of team size
 (STREX-2T..20T), and SLICC as a function of core count (SLICC-2..16);
 the legend reports mean latencies in M-cycles.
+
+The statistics use NumPy's mean, percentile and histogram, imported
+inside each method so that importing :mod:`repro.analysis` (and so
+``repro`` itself) never loads NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 
 @dataclass
@@ -27,6 +29,8 @@ class LatencyDistribution:
         """Mean latency in mega-cycles (Fig. 7's legend values)."""
         if not self.latencies:
             return 0.0
+        import numpy as np
+
         return float(np.mean(self.latencies)) / 1e6
 
     @property
@@ -34,6 +38,8 @@ class LatencyDistribution:
         """Median latency in mega-cycles."""
         if not self.latencies:
             return 0.0
+        import numpy as np
+
         return float(np.median(self.latencies)) / 1e6
 
     @property
@@ -41,6 +47,8 @@ class LatencyDistribution:
         """95th-percentile latency in mega-cycles."""
         if not self.latencies:
             return 0.0
+        import numpy as np
+
         return float(np.percentile(self.latencies, 95)) / 1e6
 
     def histogram(self, bin_mcycles: float = 2.0,
@@ -52,6 +60,8 @@ class LatencyDistribution:
         """
         if not self.latencies:
             return []
+        import numpy as np
+
         edges = list(np.arange(0.0, max_mcycles, bin_mcycles)) \
             + [max_mcycles, float("inf")]
         values = np.asarray(self.latencies, dtype=float) / 1e6

@@ -129,8 +129,6 @@ class OverlapAnalysis:
             for core in range(num_cores):
                 budgets[core] += self.interval_instructions
                 trace = traces[core]
-                # Plain-int list views regardless of the trace's column
-                # backing (loaded traces keep NumPy arrays).
                 iblocks, ilens = trace.event_columns()[:2]
                 pos = positions[core]
                 cache = caches[core]

@@ -17,18 +17,22 @@ victim.  Implemented policies:
 * ``brrip``  -- Bimodal RRIP: inserts with distant RRPV most of the time.
 
 State is kept in one flat array of ``num_sets * assoc`` *slots* (slot =
-``set_index * assoc + way``), and the hot interface is slot-based:
-:meth:`~ReplacementPolicy.hit_slot`, :meth:`~ReplacementPolicy.insert_slot`
-and :meth:`~ReplacementPolicy.victim_slot`, plus
+``set_index * assoc + way``), and the interface is slot-based.  A hit
+is never a call: the flat cache and the event loops inline it by the
+policy's :attr:`~ReplacementPolicy.hit_mode`.  Fills go through
+:meth:`~ReplacementPolicy.insert_slot` (or are inlined, by
+:attr:`~ReplacementPolicy.insert_mode`) and
+:meth:`~ReplacementPolicy.victim_slot`, or through
 :meth:`~ReplacementPolicy.replace`, which fills a full set in one call
 (victim choice and insert stamp together).  Recency policies encode the
 stack order as monotonic *age* stamps -- a hit or insertion is a single
 array store plus a counter bump (O(1)), and only a victim choice scans
 the set (O(assoc), paid once per eviction instead of once per access).
 
-The pre-optimization recency-stack implementations live on as the
-differential oracle in :mod:`repro.verify.reference`; the parity test
-suite runs both and asserts bit-identical simulation results.
+The pre-optimization recency-stack implementations, with the classic
+``(set_index, way)`` interface, live on as the differential oracle in
+:mod:`repro.verify.reference`; the parity test suite runs both and
+asserts bit-identical simulation results.
 """
 
 from __future__ import annotations
@@ -40,17 +44,17 @@ from typing import Callable, Dict, List, Optional
 class ReplacementPolicy:
     """Interface for per-set replacement state machines.
 
-    Concrete policies implement the slot-based interface
-    (``hit_slot``/``insert_slot``/``victim_slot``); the classic
-    ``(set_index, way)`` methods are provided on top of it.
+    Concrete policies implement the slot-based fill interface
+    (``insert_slot``/``victim_slot``, optionally a fused ``replace``)
+    and declare how a hit updates their state (``hit_mode``).
 
     Attributes:
         hit_mode: how the owning cache and engine inline the hit update
             -- ``"age"`` (store ``_tick`` into :attr:`hit_array` and
             bump), ``"zero"`` (store 0 into :attr:`hit_array`) or
             ``"none"`` (hits do not touch policy state).  Every policy
-            sets one: the flat cache layout inlines the hit update
-            rather than calling :meth:`hit_slot`.
+            sets one: the flat cache and both event loops inline the
+            hit update; there is no hit method.
         hit_array: the flat per-slot array ``hit_mode`` refers to.
         insert_mode: how the owning cache may inline the fill update --
             ``"age_mru"`` (policies that always insert at MRU: store
@@ -67,11 +71,6 @@ class ReplacementPolicy:
         self.num_sets = num_sets
         self.assoc = assoc
         self.rng = rng
-
-    # -- slot interface (hot path) -------------------------------------
-    def hit_slot(self, slot: int) -> None:
-        """The block in ``slot`` was re-referenced."""
-        raise NotImplementedError
 
     def insert_slot(self, slot: int) -> None:
         """A new block was filled into ``slot``."""
@@ -93,19 +92,6 @@ class ReplacementPolicy:
         slot = self.victim_slot(set_index)
         self.insert_slot(slot)
         return slot
-
-    # -- classic (set, way) interface ----------------------------------
-    def on_hit(self, set_index: int, way: int) -> None:
-        """A block in ``way`` of ``set_index`` was re-referenced."""
-        self.hit_slot(set_index * self.assoc + way)
-
-    def on_insert(self, set_index: int, way: int) -> None:
-        """A new block was filled into ``way`` of ``set_index``."""
-        self.insert_slot(set_index * self.assoc + way)
-
-    def victim_way(self, set_index: int) -> int:
-        """Choose the way to evict from a full set."""
-        return self.victim_slot(set_index) - set_index * self.assoc
 
     def on_miss(self, set_index: int) -> None:
         """A demand miss occurred in ``set_index`` (used by set dueling)."""
@@ -147,11 +133,6 @@ class _StackPolicy(ReplacementPolicy):
         self.hit_array = ages
         if self.mru_insert_chance == 1.0:
             self.insert_mode = "age_mru"
-
-    def hit_slot(self, slot: int) -> None:
-        if self.promote_on_hit:
-            self._ages[slot] = self._tick
-            self._tick += 1
 
     def _insert_position(self, set_index: int) -> int:
         """0 for an MRU insertion, ``assoc - 1`` for an LRU one."""
@@ -209,9 +190,6 @@ class RandomPolicy(ReplacementPolicy):
 
     name = "random"
     hit_mode = "none"
-
-    def hit_slot(self, slot: int) -> None:
-        pass
 
     def insert_slot(self, slot: int) -> None:
         pass
@@ -317,9 +295,6 @@ class SrripPolicy(ReplacementPolicy):
         # All ways start "distant" so cold fills pick way 0 first.
         self._rrpv: List[int] = [self.rrpv_max] * (num_sets * assoc)
         self.hit_array = self._rrpv
-
-    def hit_slot(self, slot: int) -> None:
-        self._rrpv[slot] = 0
 
     def _insert_rrpv(self) -> int:
         chance = self.long_insert_chance

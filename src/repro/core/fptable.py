@@ -68,8 +68,6 @@ def measure_footprint_blocks(trace: TransactionTrace,
     """
     tags: dict = {}
     counter = 0
-    # event_columns() yields plain-int lists even for array-backed
-    # (loaded) traces.
     for block in trace.event_columns()[0]:
         if tags.get(block) != SAMPLE_PHASE:
             counter += 1

@@ -2,6 +2,9 @@
 
 :func:`simulate` is the one-call API: pick a scheduler (and optional
 prefetcher) by name and run a set of traces through the engine.
+:func:`build_engine` stops short of running, for callers that read the
+engine's hierarchy afterwards (the fuzz harness compares it across
+kernels).
 """
 
 from __future__ import annotations
@@ -70,6 +73,42 @@ def validate_run_request(
                 f"team_size must be positive, got {team_size}")
 
 
+def build_engine(
+    config: SystemConfig,
+    traces: List[TransactionTrace],
+    scheduler: str = "base",
+    prefetcher: str = "none",
+    team_size: Optional[int] = None,
+    reference: bool = False,
+) -> SimulationEngine:
+    """The engine :func:`simulate` runs, built but not yet run.
+
+    Takes :func:`simulate`'s arguments (less the workload label) and
+    rejects the same combinations.
+    """
+    validate_run_request(scheduler, prefetcher, team_size)
+    scheduler_cls = SCHEDULERS[scheduler]
+    prefetcher_cls = PREFETCHERS[prefetcher]
+
+    if scheduler == "strex" and team_size is not None:
+        def scheduler_factory(engine):
+            return StrexScheduler(engine, team_size=team_size)
+    elif scheduler == "hybrid" and team_size is not None:
+        def scheduler_factory(engine):
+            return HybridScheduler(engine, team_size=team_size)
+    else:
+        scheduler_factory = scheduler_cls
+
+    prefetcher_factory = None
+    if prefetcher != "none":
+        prefetcher_factory = prefetcher_cls
+
+    return SimulationEngine(
+        config, traces, scheduler_factory, prefetcher_factory,
+        reference=reference,
+    )
+
+
 def simulate(
     config: SystemConfig,
     traces: List[TransactionTrace],
@@ -98,27 +137,8 @@ def simulate(
     Returns:
         The run's :class:`RunResult`.
     """
-    validate_run_request(scheduler, prefetcher, team_size)
-    scheduler_cls = SCHEDULERS[scheduler]
-    prefetcher_cls = PREFETCHERS[prefetcher]
-
-    if scheduler == "strex" and team_size is not None:
-        def scheduler_factory(engine):
-            return StrexScheduler(engine, team_size=team_size)
-    elif scheduler == "hybrid" and team_size is not None:
-        def scheduler_factory(engine):
-            return HybridScheduler(engine, team_size=team_size)
-    else:
-        scheduler_factory = scheduler_cls
-
-    prefetcher_factory = None
-    if prefetcher != "none":
-        prefetcher_factory = prefetcher_cls
-
-    engine = SimulationEngine(
-        config, traces, scheduler_factory, prefetcher_factory,
-        reference=reference,
-    )
+    engine = build_engine(config, traces, scheduler, prefetcher,
+                          team_size, reference)
     result = engine.run(workload_name)
     if prefetcher != "none":
         result.scheduler = f"{scheduler}+{prefetcher}"

@@ -1,10 +1,5 @@
-"""Block-run execution traces and trace I/O."""
+"""Block-run execution traces."""
 
-from repro.trace.trace import (
-    TraceBuilder,
-    TransactionTrace,
-    load_traces,
-    save_traces,
-)
+from repro.trace.trace import TraceBuilder, TransactionTrace
 
-__all__ = ["TraceBuilder", "TransactionTrace", "load_traces", "save_traces"]
+__all__ = ["TraceBuilder", "TransactionTrace"]

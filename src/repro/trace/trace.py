@@ -13,13 +13,12 @@ cache block, optionally paired with one data access:
 This is the finest granularity any mechanism in the paper operates at
 (caches, STREX's phaseID tagging, SLICC's signatures and PIF all act on
 64 B blocks), which keeps pure-Python replay tractable (DESIGN.md,
-decision 1).  Events are stored as parallel columns -- plain Python
-lists or NumPy arrays, kept as given without copying.  The simulator's
-inner loops read plain-list views (list indexing is considerably
-faster than NumPy scalar extraction, and builtin ints keep results
-JSON-serializable), normalized lazily via :meth:`TransactionTrace.
-event_columns`; NumPy views stay available for analysis and feed the
-hit-run tables (:meth:`TransactionTrace.run_tables`).
+decision 1).  Events are stored as four parallel columns of builtin
+ints -- plain Python lists, kept as given without copying -- which the
+simulator's inner loops index directly (builtin ints also keep results
+JSON-serializable).  Nothing here imports NumPy at module level: only
+the benchmark-only helpers :meth:`TransactionTrace.run_tables` and
+:meth:`TransactionTrace.content_key` use it, and import it themselves.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from array import array
 from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 #: Minimum length (in events) of an instruction-only span that
 #: :meth:`TransactionTrace.run_tables` records as a run.
 RUN_MIN_EVENTS = 4
@@ -39,11 +36,9 @@ RUN_MIN_EVENTS = 4
 class TransactionTrace:
     """The full execution trace of one transaction.
 
-    Columns may be plain Python lists or NumPy arrays; they are stored
-    as given, without copying.  The simulator's inner loops always go
-    through :meth:`event_columns` / :meth:`packed_events`, which
-    normalize to plain lists exactly once per trace, so NumPy scalar
-    types never leak into replay arithmetic or serialized results.
+    Columns are plain Python lists of builtin ints (every producer --
+    :class:`TraceBuilder`, the workloads and the fuzz generators --
+    builds lists); they are stored as given, without copying.
     """
 
     __slots__ = (
@@ -58,7 +53,6 @@ class TransactionTrace:
         "_packed_events",
         "_set_indices",
         "_ilen_prefix",
-        "_list_columns",
         "_run_tables",
         "_content_key",
     )
@@ -84,13 +78,12 @@ class TransactionTrace:
         self.total_instructions = int(sum(ilens))
         # Lazily-built derived views, shared by every run of a batch:
         # the distinct-iblock set, packed per-event tuples keyed by
-        # base CPI, L1-I set indices keyed by set count, plain-list
-        # column views, hit-run tables, and the content digest.
+        # base CPI, L1-I set indices keyed by set count, the
+        # instruction prefix, hit-run tables, and the content digest.
         self._unique_iblocks: Optional[frozenset] = None
         self._packed_events: dict = {}
         self._set_indices: dict = {}
         self._ilen_prefix: Optional[array] = None
-        self._list_columns: Optional[tuple] = None
         self._run_tables: dict = {}
         self._content_key: Optional[str] = None
 
@@ -108,22 +101,9 @@ class TransactionTrace:
         return zip(*self.event_columns())
 
     def event_columns(self) -> tuple:
-        """``(iblocks, ilens, dblocks, dwrites)`` as plain Python lists.
-
-        Array-backed traces (e.g. from :func:`load_traces`) are
-        normalized once and the lists memoized; list-backed traces are
-        returned as-is with no copy.  Every replay consumer goes
-        through here so arithmetic stays on builtin ints.
-        """
-        cols = self._list_columns
-        if cols is None:
-            cols = tuple(
-                col if type(col) is list else np.asarray(col).tolist()
-                for col in (self.iblocks, self.ilens,
-                            self.dblocks, self.dwrites)
-            )
-            self._list_columns = cols
-        return cols
+        """``(iblocks, ilens, dblocks, dwrites)``, the columns as stored
+        (no copy)."""
+        return self.iblocks, self.ilens, self.dblocks, self.dwrites
 
     def unique_iblocks(self) -> frozenset:
         """Distinct instruction blocks touched (the static footprint).
@@ -143,10 +123,12 @@ class TransactionTrace:
         keys.  No simulation path calls it; it stays part of the trace
         API because ``bench/child.py`` wraps it by name when it times
         the trace-precompute layer.  Memoized (traces are immutable by
-        convention).
+        convention).  Imports NumPy on first use.
         """
         digest = self._content_key
         if digest is None:
+            import numpy as np
+
             h = hashlib.sha1()
             h.update(
                 f"{self.txn_id}|{self.txn_type}|{len(self)}".encode())
@@ -226,12 +208,15 @@ class TransactionTrace:
           the event count, and the distinct L1-I set indices the run's
           blocks map to.
 
-        Span discovery is vectorized with NumPy over the ``dblocks``
-        column; built once per ``(cpi, num_sets)``.
+        Span discovery is vectorized with NumPy (imported on first
+        use) over the ``dblocks`` column; built once per
+        ``(cpi, num_sets)``.
         """
         key = (cpi, num_sets)
         if key in self._run_tables:
             return self._run_tables[key]
+        import numpy as np
+
         iblocks, ilens, dblocks, _ = self.event_columns()
         n = len(iblocks)
         flags = np.zeros(n + 2, dtype=np.int8)
@@ -310,14 +295,6 @@ class TransactionTrace:
             self._ilen_prefix = prefix
         return prefix
 
-    def iblock_array(self) -> np.ndarray:
-        """Instruction blocks as a NumPy array (for analysis)."""
-        return np.asarray(self.iblocks, dtype=np.int64)
-
-    def ilen_array(self) -> np.ndarray:
-        """Per-event instruction counts as a NumPy array."""
-        return np.asarray(self.ilens, dtype=np.int64)
-
 
 class TraceBuilder:
     """Incremental construction of a :class:`TransactionTrace`."""
@@ -367,42 +344,3 @@ class TraceBuilder:
             self._dblocks,
             self._dwrites,
         )
-
-
-def save_traces(path: str, traces: List[TransactionTrace]) -> None:
-    """Persist traces to an ``.npz`` archive."""
-    payload = {}
-    meta = []
-    for i, trace in enumerate(traces):
-        meta.append((trace.txn_id, trace.txn_type))
-        payload[f"i{i}"] = np.asarray(trace.iblocks, dtype=np.int64)
-        payload[f"l{i}"] = np.asarray(trace.ilens, dtype=np.int32)
-        payload[f"d{i}"] = np.asarray(trace.dblocks, dtype=np.int64)
-        payload[f"w{i}"] = np.asarray(trace.dwrites, dtype=np.int8)
-    payload["ids"] = np.asarray([m[0] for m in meta], dtype=np.int64)
-    payload["types"] = np.asarray([m[1] for m in meta])
-    np.savez_compressed(path, **payload)
-
-
-def load_traces(path: str) -> List[TransactionTrace]:
-    """Load traces previously written by :func:`save_traces`."""
-    with np.load(path, allow_pickle=False) as data:
-        ids = data["ids"]
-        types = data["types"]
-        traces = []
-        for i in range(len(ids)):
-            # Keep the columnar arrays: the run tables and content
-            # digests consume them directly, and TransactionTrace
-            # stores them without copying (normalizing to lists
-            # lazily, only if the replay loops need them).
-            traces.append(
-                TransactionTrace(
-                    int(ids[i]),
-                    str(types[i]),
-                    data[f"i{i}"],
-                    data[f"l{i}"],
-                    data[f"d{i}"],
-                    data[f"w{i}"],
-                )
-            )
-    return traces

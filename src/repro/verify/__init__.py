@@ -14,7 +14,8 @@ Four layers (see DESIGN.md, decisions 12 and 15):
 * :mod:`repro.verify.generators` — seeded hostile-case generation
   (:class:`FuzzCase` / :class:`CaseGenerator`), JSON round-trippable.
 * :mod:`repro.verify.harness` — the differential harness
-  (:func:`run_case` requires byte-equal fast/reference results),
+  (:func:`run_case` requires byte-equal fast/reference results and
+  equal :func:`hierarchy_state` counters),
   greedy shrinking, and the replay corpus under ``tests/corpus/``.
 
 Import note: the oracle layer is imported *eagerly* because
@@ -46,6 +47,7 @@ _LAZY = {
     "Failure": "harness",
     "FuzzReport": "harness",
     "fuzz_run": "harness",
+    "hierarchy_state": "harness",
     "load_case": "harness",
     "load_corpus": "harness",
     "replay_cases": "harness",

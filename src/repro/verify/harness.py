@@ -6,7 +6,10 @@ objects** (trace generation is seeded but the parity rule requires the
 two kernels to consume identical inputs in one process), with
 ``REPRO_SIM_CHECK=1`` arming the invariant oracles in both.  The bar
 is DESIGN decision 12's: the two serialized ``RunResult``s must be
-byte-equal.
+byte-equal, and so must every hierarchy counter the result does not
+carry (:func:`hierarchy_state`: per-level cache stats, L2 demand
+traffic, NoC messages and hops, prefetch coverage), so a fast-kernel
+bug that moves only those is still a mismatch.
 
 Failures are classified (oracle ``violation`` / kernel ``mismatch`` /
 hard ``error``), greedily shrunk to a minimal still-failing case, and
@@ -22,10 +25,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exp.diff import metric_vector, result_blob
-from repro.sim.api import simulate
+from repro.sim.api import build_engine
 from repro.verify.generators import (
     SYNTHETIC,
     CaseGenerator,
@@ -70,22 +73,48 @@ class CaseOutcome:
         }
 
 
+def hierarchy_state(engine) -> Dict[str, int]:
+    """Every hierarchy counter the fast loops keep in locals or inline,
+    by name: each cache's ``stats.snapshot()`` (``l1i[0].hits``, ...),
+    the L2 demand traffic, the NoC's messages and hops and the
+    prefetcher's coverage counts.  ``RunResult`` carries none of these
+    per level, so the differential checks compare them as well."""
+    hier = engine.hier
+    state = {}
+    for level in ("l1i", "l1d", "l2"):
+        for index, cache in enumerate(getattr(hier, level)):
+            for counter, value in cache.stats.snapshot().items():
+                state[f"{level}[{index}].{counter}"] = value
+    state["l2_demand_traffic"] = hier.l2_demand_traffic
+    state["noc.messages"] = hier.noc.messages
+    state["noc.total_hops"] = hier.noc.total_hops
+    state["prefetch.covered_misses"] = hier.prefetcher.covered_misses
+    state["prefetch.uncovered_misses"] = hier.prefetcher.uncovered_misses
+    return state
+
+
 def _simulate_case(case: FuzzCase, config, traces, reference: bool,
                    check: bool):
-    """One kernel run with the oracle switch pinned, then restored."""
+    """One kernel run with the oracle switch pinned, then restored.
+
+    Returns ``(result, hierarchy_state)``.  The result carries no
+    ``scheduler+prefetcher`` label (``simulate`` adds that after the
+    run); both kernels are compared unlabelled.
+    """
     saved_check = os.environ.get(CHECK_ENV)
     try:
         if check:
             os.environ[CHECK_ENV] = "1"
         else:
             os.environ.pop(CHECK_ENV, None)
-        return simulate(
+        engine = build_engine(
             config, traces, case.scheduler,
-            workload_name=case.workload,
             prefetcher=case.prefetcher,
             team_size=case.team_size,
             reference=reference,
         )
+        result = engine.run(case.workload)
+        return result, hierarchy_state(engine)
     finally:
         if saved_check is None:
             os.environ.pop(CHECK_ENV, None)
@@ -93,15 +122,20 @@ def _simulate_case(case: FuzzCase, config, traces, reference: bool,
             os.environ[CHECK_ENV] = saved_check
 
 
-def _mismatch_detail(fast, reference) -> str:
-    """Name the metrics where the two kernels disagree."""
-    a = metric_vector(fast)
-    b = metric_vector(reference)
-    moved = [
+def _differences(a: Dict, b: Dict) -> List[str]:
+    return [
         f"{name}: fast={a.get(name)!r} reference={b.get(name)!r}"
         for name in sorted(set(a) | set(b))
         if a.get(name) != b.get(name)
     ]
+
+
+def _mismatch_detail(fast, reference) -> str:
+    """Name the metrics and hierarchy counters where the two kernels
+    disagree; ``fast`` and ``reference`` are ``(result, state)``."""
+    moved = (_differences(metric_vector(fast[0]),
+                          metric_vector(reference[0]))
+             + _differences(fast[1], reference[1]))
     if not moved:
         moved = ["metric vectors agree; serialized results differ "
                  "(latency list or extra fields)"]
@@ -112,17 +146,18 @@ def _mismatch_detail(fast, reference) -> str:
 
 
 def run_case(case: FuzzCase, check: bool = True) -> CaseOutcome:
-    """Run one case through both kernels and compare byte-for-byte."""
+    """Run one case through both kernels; the serialized results and
+    the hierarchy states must be equal."""
     try:
         config = case.build_config()
         traces = case.build_traces()
     except Exception as exc:  # noqa: BLE001 - classified, not hidden
         return CaseOutcome(case, STATUS_ERROR,
                            detail=f"case construction failed: {exc!r}")
-    results = {}
+    runs = {}
     for kernel, reference in (("fast", False), ("reference", True)):
         try:
-            results[kernel] = _simulate_case(
+            runs[kernel] = _simulate_case(
                 case, config, traces, reference=reference, check=check)
         except InvariantViolation as exc:
             return CaseOutcome(case, STATUS_VIOLATION, detail=str(exc),
@@ -130,11 +165,10 @@ def run_case(case: FuzzCase, check: bool = True) -> CaseOutcome:
         except Exception as exc:  # noqa: BLE001
             return CaseOutcome(case, STATUS_ERROR, detail=repr(exc),
                                kernel=kernel)
-    if result_blob(results["fast"]) != result_blob(results["reference"]):
-        return CaseOutcome(
-            case, STATUS_MISMATCH,
-            detail=_mismatch_detail(results["fast"],
-                                    results["reference"]))
+    fast, ref = runs["fast"], runs["reference"]
+    if result_blob(fast[0]) != result_blob(ref[0]) or fast[1] != ref[1]:
+        return CaseOutcome(case, STATUS_MISMATCH,
+                           detail=_mismatch_detail(fast, ref))
     return CaseOutcome(case, STATUS_OK)
 
 

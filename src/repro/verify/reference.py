@@ -29,7 +29,7 @@ This module is imported lazily, only by engines built with
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.cache.cache import Cache, VictimCallback
 from repro.cache.hierarchy import MemoryHierarchy
@@ -37,9 +37,6 @@ from repro.cache.replacement import (
     BipPolicy,
     BrripPolicy,
     DipPolicy,
-    PolicyFactory,
-    RandomPolicy,
-    ReplacementPolicy,
     SrripPolicy,
 )
 from repro.config import CacheConfig
@@ -48,20 +45,53 @@ from repro.config import CacheConfig
 # ----------------------------------------------------------------------
 # Replacement policies (pre-optimization structures)
 # ----------------------------------------------------------------------
-class _SetWayAdapter(ReplacementPolicy):
-    """Slot interface expressed via the classic (set, way) methods."""
+class _ReferencePolicy:
+    """The classic ``(set_index, way)`` interface that
+    :class:`ReferenceCache` drives: a hit, an insertion, the choice of
+    a victim and a demand miss, per set.  The fast kernel's
+    :class:`~repro.cache.replacement.ReplacementPolicy` family has no
+    such methods; it is slot-based and its hits are inlined."""
 
-    def hit_slot(self, slot: int) -> None:
-        self.on_hit(slot // self.assoc, slot % self.assoc)
+    name = "abstract"
 
-    def insert_slot(self, slot: int) -> None:
-        self.on_insert(slot // self.assoc, slot % self.assoc)
+    def __init__(self, num_sets: int, assoc: int, rng: random.Random):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.rng = rng
 
-    def victim_slot(self, set_index: int) -> int:
-        return set_index * self.assoc + self.victim_way(set_index)
+    def on_hit(self, set_index: int, way: int) -> None:
+        """A block in ``way`` of ``set_index`` was re-referenced."""
+        raise NotImplementedError
+
+    def on_insert(self, set_index: int, way: int) -> None:
+        """A new block was filled into ``way`` of ``set_index``."""
+        raise NotImplementedError
+
+    def victim_way(self, set_index: int) -> int:
+        """Choose the way to evict from a full set."""
+        raise NotImplementedError
+
+    def on_miss(self, set_index: int) -> None:
+        """A demand miss occurred in ``set_index`` (used by set dueling)."""
 
 
-class _ReferenceStackPolicy(_SetWayAdapter):
+class ReferenceRandomPolicy(_ReferencePolicy):
+    """Uniform random victim; one ``randrange`` per victim, as the fast
+    :class:`~repro.cache.replacement.RandomPolicy` draws."""
+
+    name = "random"
+
+    def on_hit(self, set_index: int, way: int) -> None:
+        pass
+
+    def on_insert(self, set_index: int, way: int) -> None:
+        pass
+
+    def victim_way(self, set_index: int) -> int:
+        return self.rng.randrange(self.assoc)
+
+
+class _ReferenceStackPolicy(_ReferencePolicy):
     """Recency stacks as per-set Python lists, ordered MRU-first.
 
     This is the original O(assoc)-per-access implementation the age
@@ -142,7 +172,7 @@ class ReferenceDipPolicy(_ReferenceStackPolicy):
     _insert_position = DipPolicy._insert_position
 
 
-class ReferenceSrripPolicy(_SetWayAdapter):
+class ReferenceSrripPolicy(_ReferencePolicy):
     """SRRIP over per-set RRPV lists (the original nested layout)."""
 
     name = "srrip"
@@ -184,13 +214,13 @@ class ReferenceBrripPolicy(ReferenceSrripPolicy):
         return self.rrpv_max
 
 
-_REFERENCE_POLICIES: Dict[str, PolicyFactory]
+_REFERENCE_POLICIES: Dict[str, Callable[..., _ReferencePolicy]]
 _REFERENCE_POLICIES = {
     cls.name: cls
     for cls in (
         ReferenceLruPolicy,
         ReferenceFifoPolicy,
-        RandomPolicy,  # stateless: shared by both kernels
+        ReferenceRandomPolicy,
         ReferenceLipPolicy,
         ReferenceBipPolicy,
         ReferenceDipPolicy,

@@ -186,11 +186,27 @@ class TestDispatch:
         assert f"usage: repro {command}" in capsys.readouterr().out
 
     def test_retired_service_command_is_a_usage_error(self, capsys):
-        """``serve`` is no subcommand, so it falls through to the
-        flag-only parser, which rejects it as a stray argument."""
+        """``serve`` is no subcommand: it is rejected as an unknown
+        command, naming the real ones."""
         with pytest.raises(SystemExit) as excinfo:
             main(["serve"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: repro ")
-        assert "unrecognized arguments: serve" in err
+        assert "error: unknown command 'serve'; choose from " in err
+
+    def test_mistyped_command_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweeep", "--workloads", "tpcc"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(
+            "error: unknown command 'sweeep'; choose from "
+            + ", ".join(sorted(COMMANDS)))
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "commands: " + ", ".join(sorted(COMMANDS)) + "." in out

@@ -33,7 +33,7 @@ from repro.sched.strex import StrexScheduler
 from repro.sim.api import SCHEDULERS, simulate
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import TraceBuilder
-from repro.verify import FuzzCase, run_case
+from repro.verify import FuzzCase, hierarchy_state, run_case
 from repro.workloads import WORKLOADS
 
 POLICIES = ("lru", "fifo", "random", "lip", "bip", "dip",
@@ -189,20 +189,6 @@ NON_AGE_POLICIES = tuple(
     if make_policy(name, 1, 1, random.Random(0)).insert_mode != "age_mru")
 
 
-def _hierarchy_state(engine) -> tuple:
-    """Every counter the fast loops keep in locals or inline."""
-    hier = engine.hier
-    return (
-        [[cache.stats.snapshot() for cache in level]
-         for level in (hier.l1i, hier.l1d, hier.l2)],
-        hier.l2_demand_traffic,
-        hier.noc.messages,
-        hier.noc.total_hops,
-        hier.prefetcher.covered_misses,
-        hier.prefetcher.uncovered_misses,
-    )
-
-
 def _assert_state_parity(config, scheduler, prefetcher) -> None:
     traces = _traces("tpcc", config)
     states = []
@@ -211,7 +197,7 @@ def _assert_state_parity(config, scheduler, prefetcher) -> None:
                                   reference=reference)
         assert not engine._age_kernel
         result = json.dumps(engine.run("tpcc").to_dict(), sort_keys=True)
-        states.append((result, _hierarchy_state(engine)))
+        states.append((result, hierarchy_state(engine)))
     assert states[0] == states[1]
     # Every L1-I and L2 really evicted, so full-set fills ran.
     hier = engine.hier

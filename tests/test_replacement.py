@@ -13,6 +13,26 @@ def _policy(name, num_sets=4, assoc=4, seed=1):
     return make_policy(name, num_sets, assoc, random.Random(seed))
 
 
+def _hit(policy, set_index, way):
+    """A hit on ``way`` of ``set_index``, applied by ``hit_mode`` as
+    ``Cache.access`` and both event loops inline it."""
+    slot = set_index * policy.assoc + way
+    if policy.hit_mode == "age":
+        policy.hit_array[slot] = policy._tick
+        policy._tick += 1
+    elif policy.hit_mode == "zero":
+        policy.hit_array[slot] = 0
+
+
+def _insert(policy, set_index, way):
+    policy.insert_slot(set_index * policy.assoc + way)
+
+
+def _victim(policy, set_index):
+    """The way of ``set_index`` that ``victim_slot`` picks."""
+    return policy.victim_slot(set_index) - set_index * policy.assoc
+
+
 class TestRegistry:
     def test_all_policies_registered(self):
         assert set(policy_names()) == {
@@ -34,41 +54,41 @@ class TestLru:
     def test_evicts_least_recently_used(self):
         policy = _policy("lru", num_sets=1, assoc=4)
         for way in range(4):
-            policy.on_insert(0, way)
-        policy.on_hit(0, 0)  # way 0 becomes MRU; way 1 is LRU
-        assert policy.victim_way(0) == 1
+            _insert(policy, 0, way)
+        _hit(policy, 0, 0)  # way 0 becomes MRU; way 1 is LRU
+        assert _victim(policy, 0) == 1
 
     def test_insert_is_mru(self):
         policy = _policy("lru", num_sets=1, assoc=2)
-        policy.on_insert(0, 0)
-        policy.on_insert(0, 1)
-        assert policy.victim_way(0) == 0
+        _insert(policy, 0, 0)
+        _insert(policy, 0, 1)
+        assert _victim(policy, 0) == 0
 
     def test_sets_are_independent(self):
         policy = _policy("lru", num_sets=2, assoc=2)
-        policy.on_insert(0, 1)
-        policy.on_insert(1, 0)
-        assert policy.victim_way(0) != policy.victim_way(1)
+        _insert(policy, 0, 1)
+        _insert(policy, 1, 0)
+        assert _victim(policy, 0) != _victim(policy, 1)
 
 
 class TestFifo:
     def test_hit_does_not_promote(self):
         policy = _policy("fifo", num_sets=1, assoc=3)
         for way in range(3):
-            policy.on_insert(0, way)
-        policy.on_hit(0, 0)  # FIFO ignores the hit
-        assert policy.victim_way(0) == 0
+            _insert(policy, 0, way)
+        _hit(policy, 0, 0)  # FIFO ignores the hit
+        assert _victim(policy, 0) == 0
 
 
 class TestRandom:
     def test_victim_in_range(self):
         policy = _policy("random", num_sets=1, assoc=4)
         for _ in range(100):
-            assert 0 <= policy.victim_way(0) < 4
+            assert 0 <= _victim(policy, 0) < 4
 
     def test_covers_all_ways_eventually(self):
         policy = _policy("random", num_sets=1, assoc=4)
-        seen = {policy.victim_way(0) for _ in range(200)}
+        seen = {_victim(policy, 0) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
 
 
@@ -76,16 +96,16 @@ class TestLip:
     def test_insert_lands_at_lru(self):
         policy = _policy("lip", num_sets=1, assoc=4)
         for way in range(4):
-            policy.on_insert(0, way)
+            _insert(policy, 0, way)
         # The most recent insertion is the next victim.
-        assert policy.victim_way(0) == 3
+        assert _victim(policy, 0) == 3
 
     def test_hit_promotes_to_mru(self):
         policy = _policy("lip", num_sets=1, assoc=2)
-        policy.on_insert(0, 0)
-        policy.on_insert(0, 1)
-        policy.on_hit(0, 1)
-        assert policy.victim_way(0) == 0
+        _insert(policy, 0, 0)
+        _insert(policy, 0, 1)
+        _hit(policy, 0, 1)
+        assert _victim(policy, 0) == 0
 
 
 class TestBip:
@@ -94,23 +114,23 @@ class TestBip:
         lru_like = 0
         trials = 400
         for _ in range(trials):
-            policy.on_insert(0, 3)
-            if policy.victim_way(0) == 3:
+            _insert(policy, 0, 3)
+            if _victim(policy, 0) == 3:
                 lru_like += 1
             # Restore a known order for the next trial.
             for way in range(4):
-                policy.on_hit(0, way)
+                _hit(policy, 0, way)
         assert lru_like > trials * 0.9
 
     def test_occasionally_mru_insertion(self):
         policy = _policy("bip", num_sets=1, assoc=4, seed=3)
         mru_like = 0
         for _ in range(600):
-            policy.on_insert(0, 3)
-            if policy.victim_way(0) != 3:
+            _insert(policy, 0, 3)
+            if _victim(policy, 0) != 3:
                 mru_like += 1
             for way in range(4):
-                policy.on_hit(0, way)
+                _hit(policy, 0, way)
         assert mru_like > 0
 
 
@@ -133,30 +153,30 @@ class TestDip:
         # Bias PSEL fully toward LRU (BIP leaders miss a lot).
         for _ in range(2000):
             policy.on_miss(16)
-        policy.on_insert(1, 3)  # set 1 is a follower
-        assert policy.victim_way(1) != 3  # LRU insertion (way 3 is MRU)
+        _insert(policy, 1, 3)  # set 1 is a follower
+        assert _victim(policy, 1) != 3  # LRU insertion (way 3 is MRU)
 
 
 class TestSrrip:
     def test_insert_is_long_not_distant(self):
         policy = _policy("srrip", num_sets=1, assoc=2)
-        policy.on_insert(0, 0)
+        _insert(policy, 0, 0)
         # Way 1 is untouched (distant); the victim must be way 1.
-        assert policy.victim_way(0) == 1
+        assert _victim(policy, 0) == 1
 
     def test_hit_promotes_to_near(self):
         policy = _policy("srrip", num_sets=1, assoc=2)
-        policy.on_insert(0, 0)
-        policy.on_insert(0, 1)
-        policy.on_hit(0, 0)
-        assert policy.victim_way(0) == 1
+        _insert(policy, 0, 0)
+        _insert(policy, 0, 1)
+        _hit(policy, 0, 0)
+        assert _victim(policy, 0) == 1
 
     def test_aging_terminates(self):
         policy = _policy("srrip", num_sets=1, assoc=4)
         for way in range(4):
-            policy.on_insert(0, way)
-            policy.on_hit(0, way)
-        victim = policy.victim_way(0)
+            _insert(policy, 0, way)
+            _hit(policy, 0, way)
+        victim = _victim(policy, 0)
         assert 0 <= victim < 4
 
 
@@ -201,7 +221,7 @@ class TestReplace:
         for slot, hit in ops:
             policy.insert_slot(slot)
             if hit:
-                policy.hit_slot(slot)
+                _hit(policy, slot // 4, slot % 4)
             policy.on_miss(slot // 4)
         return policy
 
@@ -220,8 +240,8 @@ class TestReplace:
             assert replaced.replace(set_index) == slot
             assert _state(replaced) == _state(stepped)
             if round_ % hit_every == 0:
-                replaced.hit_slot(slot)
-                stepped.hit_slot(slot)
+                _hit(replaced, slot // 4, slot % 4)
+                _hit(stepped, slot // 4, slot % 4)
 
     @pytest.mark.parametrize("name", ("srrip", "brrip"))
     def test_replace_ages_a_set_without_a_distant_block(self, name):
@@ -241,9 +261,9 @@ class TestBrrip:
         distant = 0
         trials = 300
         for _ in range(trials):
-            policy.on_insert(0, 0)
-            policy.on_hit(0, 1)
-            if policy.victim_way(0) == 0:
+            _insert(policy, 0, 0)
+            _hit(policy, 0, 1)
+            if _victim(policy, 0) == 0:
                 distant += 1
         assert distant > trials * 0.9
 
@@ -258,8 +278,8 @@ def test_all_policies_always_return_valid_victims(ops):
                 for name in policy_names()]
     for set_index, way in ops:
         for policy in policies:
-            policy.on_insert(set_index, way)
-            policy.on_hit(set_index, way)
+            _insert(policy, set_index, way)
+            _hit(policy, set_index, way)
     for policy in policies:
         for set_index in range(4):
-            assert 0 <= policy.victim_way(set_index) < 4
+            assert 0 <= _victim(policy, set_index) < 4

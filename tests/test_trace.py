@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.trace.trace import (
-    RUN_MIN_EVENTS,
-    TraceBuilder,
-    TransactionTrace,
-    load_traces,
-    save_traces,
-)
+from repro.trace.trace import RUN_MIN_EVENTS, TraceBuilder, TransactionTrace
 
 
 def build_simple(txn_id=0, txn_type="T", events=((1, 10, -1, 0),)):
@@ -66,40 +60,10 @@ class TestTrace:
                                           for i in range(64)))
         assert trace.footprint_units(32) == 2.0
 
-    def test_numpy_views(self):
-        trace = build_simple(events=((1, 5, -1, 0), (2, 3, -1, 0)))
-        assert trace.iblock_array().tolist() == [1, 2]
-        assert trace.ilen_array().sum() == 8
-
     def test_repr(self):
         trace = build_simple(txn_id=3, txn_type="Payment")
         text = repr(trace)
         assert "Payment" in text and "id=3" in text
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        traces = [
-            build_simple(0, "A", ((1, 5, 7, 1), (2, 3, -1, 0))),
-            build_simple(1, "B", ((9, 2, -1, 0),)),
-        ]
-        path = str(tmp_path / "traces.npz")
-        save_traces(path, traces)
-        loaded = load_traces(path)
-        assert len(loaded) == 2
-        assert loaded[0].txn_type == "A"
-        assert loaded[1].txn_id == 1
-        assert list(loaded[0].events()) == list(traces[0].events())
-        assert loaded[1].total_instructions == 2
-
-    def test_roundtrip_preserves_instruction_count(self, tmp_path,
-                                                   tiny_tpcc):
-        trace = tiny_tpcc.generate_trace("Payment", seed=5)
-        path = str(tmp_path / "t.npz")
-        save_traces(path, [trace])
-        loaded = load_traces(path)[0]
-        assert loaded.total_instructions == trace.total_instructions
-        assert loaded.unique_iblocks() == trace.unique_iblocks()
 
 
 class TestRunTables:
@@ -161,15 +125,6 @@ class TestRunTables:
 
 
 class TestContentKey:
-    def test_array_and_list_backed_traces_agree(self):
-        np = pytest.importorskip("numpy")
-        cols = ([1, 2, 3], [1, 1, 2], [-1, 5, -1], [0, 1, 0])
-        as_lists = TransactionTrace(3, "T", *cols)
-        as_arrays = TransactionTrace(
-            3, "T", *(np.asarray(c) for c in cols))
-        assert as_lists.content_key() == as_arrays.content_key()
-        assert as_lists.event_columns() == as_arrays.event_columns()
-
     def test_sensitive_to_every_column_and_meta(self):
         base = (3, "T", [1, 2], [1, 1], [-1, 5], [0, 1])
         key = TransactionTrace(*base).content_key()

@@ -254,6 +254,24 @@ class TestRunCase:
         assert outcome.status == "mismatch"
         assert "cycles" in outcome.detail
 
+    def test_hierarchy_only_divergence_is_a_mismatch(self, monkeypatch):
+        # A fast-kernel bug that moves only a counter RunResult does not
+        # carry (here the NoC's hop total) must still be flagged, and
+        # the detail must name the counter.
+        original = SimulationEngine.run_events
+
+        def lossy(self, core, thread, max_events, **kwargs):
+            executed = original(self, core, thread, max_events,
+                                **kwargs)
+            if not self.reference:
+                self.hier.noc.total_hops += 1
+            return executed
+
+        monkeypatch.setattr(SimulationEngine, "run_events", lossy)
+        outcome = run_case(tiny_case())
+        assert outcome.status == "mismatch"
+        assert outcome.detail.startswith("noc.total_hops: fast=")
+
     def test_oracle_violation_is_classified(self, monkeypatch):
         original = SimulationEngine.run_events
 
