@@ -111,9 +111,8 @@ class Cache:
             config.replacement, self.num_sets, self.assoc, rng)
         self.victim_callback = victim_callback
         self.stats = CacheStats()
-        # Hot-path dispatch hints: whether on_miss is a real override
-        # (only set-dueling policies implement it) and whether inserts
-        # can be inlined as an MRU age stamp.
+        # Hot-path dispatch hint: whether on_miss is a real override
+        # (only set-dueling policies implement it).
         self._policy_has_on_miss = (
             type(self.policy).on_miss is not ReplacementPolicy.on_miss
         )
@@ -184,9 +183,11 @@ class Cache:
             self.stats.hits += 1
             policy = self.policy
             mode = policy.hit_mode
-            if mode == "age":
-                policy._ages[slot] = policy._tick
-                policy._tick += 1
+            if mode == "mru":
+                order = policy.hit_array[slot]
+                if order[-1] != slot:
+                    order.remove(slot)
+                    order.append(slot)
             elif mode == "zero":
                 policy.hit_array[slot] = 0
             self._slot_tags[slot] = tag
@@ -203,12 +204,11 @@ class Cache:
         :meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access` or in
         the general event loop -- already established the block is
         absent; this charges the miss and fills, in one call per miss.
-        A cold fill takes the set's first free slot and stamps it with
-        :meth:`~repro.cache.replacement.ReplacementPolicy.insert_slot`
-        (inlined as an MRU age stamp for ``age_mru`` policies); a full
-        set is filled by one
+        A cold fill takes the set's first free slot and records it with
+        :meth:`~repro.cache.replacement.ReplacementPolicy.insert_slot`;
+        a full set is filled by one
         :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
-        call, which picks the victim and stamps the insert, before the
+        call, which picks the victim and records the insert, before the
         victim callback fires.  Only the general event loop's L1-I
         fill bypasses this method, and it follows the same steps.
         """
@@ -220,11 +220,7 @@ class Cache:
             base = set_index * self.assoc
             slot = self._slot_blocks.index(None, base, base + self.assoc)
             self._set_len[set_index] += 1
-            if policy.insert_mode == "age_mru":
-                policy._ages[slot] = policy._tick
-                policy._tick += 1
-            else:
-                policy.insert_slot(slot)
+            policy.insert_slot(slot)
         else:
             slot = policy.replace(set_index)
             victim = self._slot_blocks[slot]

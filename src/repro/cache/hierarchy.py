@@ -122,9 +122,11 @@ class MemoryHierarchy:
             slice_cache.stats.hits += 1
             policy = slice_cache.policy
             mode = policy.hit_mode
-            if mode == "age":
-                policy._ages[slot] = policy._tick
-                policy._tick += 1
+            if mode == "mru":
+                order = policy.hit_array[slot]
+                if order[-1] != slot:
+                    order.remove(slot)
+                    order.append(slot)
             elif mode == "zero":
                 policy.hit_array[slot] = 0
             slice_cache._slot_tags[slot] = 0

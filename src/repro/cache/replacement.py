@@ -16,18 +16,16 @@ victim.  Implemented policies:
   ISCA'10) with 2-bit RRPVs, hit-priority promotion.
 * ``brrip``  -- Bimodal RRIP: inserts with distant RRPV most of the time.
 
-State is kept in one flat array of ``num_sets * assoc`` *slots* (slot =
-``set_index * assoc + way``), and the interface is slot-based.  A hit
-is never a call: the flat cache and the event loops inline it by the
-policy's :attr:`~ReplacementPolicy.hit_mode`.  Fills go through
-:meth:`~ReplacementPolicy.insert_slot` (or are inlined, by
-:attr:`~ReplacementPolicy.insert_mode`) and
-:meth:`~ReplacementPolicy.victim_slot`, or through
-:meth:`~ReplacementPolicy.replace`, which fills a full set in one call
-(victim choice and insert stamp together).  Recency policies encode the
-stack order as monotonic *age* stamps -- a hit or insertion is a single
-array store plus a counter bump (O(1)), and only a victim choice scans
-the set (O(assoc), paid once per eviction instead of once per access).
+The interface is slot-based (slot = ``set_index * assoc + way``).  A
+hit is never a call: the flat cache and the event loops inline it by
+the policy's :attr:`~ReplacementPolicy.hit_mode`.  A cold fill goes
+through :meth:`~ReplacementPolicy.insert_slot`, and a full set is
+filled through :meth:`~ReplacementPolicy.replace` (victim choice and
+insert update in one call, which the event loops inline by
+:attr:`~ReplacementPolicy.insert_mode`).  Recency policies keep
+each set's stack order as one list of its slots, least recently used
+first: the victim is the list's head, read without a scan, and a hit or
+insertion moves one slot to an end of a list of ``assoc`` entries.
 
 The pre-optimization recency-stack implementations, with the classic
 ``(set_index, way)`` interface, live on as the differential oracle in
@@ -50,16 +48,17 @@ class ReplacementPolicy:
 
     Attributes:
         hit_mode: how the owning cache and engine inline the hit update
-            -- ``"age"`` (store ``_tick`` into :attr:`hit_array` and
-            bump), ``"zero"`` (store 0 into :attr:`hit_array`) or
-            ``"none"`` (hits do not touch policy state).  Every policy
-            sets one: the flat cache and both event loops inline the
-            hit update; there is no hit method.
+            -- ``"mru"`` (move the slot to the end of its set's order
+            list, ``hit_array[slot]``, unless it is there already),
+            ``"zero"`` (store 0 into :attr:`hit_array`) or ``"none"``
+            (hits do not touch policy state).  Every policy sets one:
+            the flat cache and both event loops inline the hit update;
+            there is no hit method.
         hit_array: the flat per-slot array ``hit_mode`` refers to.
-        insert_mode: how the owning cache may inline the fill update --
-            ``"age_mru"`` (policies that always insert at MRU: store
-            ``_tick`` into the age array and bump) or ``"call"``
-            (invoke :meth:`insert_slot`).
+        insert_mode: how the event loops may inline a full-set fill --
+            ``"mru"`` (policies that always insert at MRU: rotate the
+            set's order list, moving its head, the victim, to the end)
+            or ``"call"`` (invoke :meth:`replace`).
     """
 
     name = "abstract"
@@ -81,7 +80,7 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def replace(self, set_index: int) -> int:
-        """Fill a full set: choose the victim slot and stamp the insert.
+        """Fill a full set: choose the victim slot and record the insert.
 
         Exactly :meth:`victim_slot` followed by :meth:`insert_slot` on
         the returned slot -- the same slot, the same policy state and
@@ -100,18 +99,24 @@ class ReplacementPolicy:
 class _StackPolicy(ReplacementPolicy):
     """Shared machinery for recency policies (LRU/FIFO/LIP/BIP/DIP).
 
-    The conceptual model is still a per-set stack ordered MRU-first,
-    but the order is materialized as monotonic age stamps: larger age =
-    closer to MRU.  Every operation either moves a slot to the very top
-    (stamp from the increasing ``_tick``) or the very bottom (stamp from
-    the decreasing ``_low``), which preserves the relative order of all
-    other slots -- exactly what ``list.insert(0, ...)`` /
-    ``list.append(...)`` did in the reference stacks.  Stamps are never
-    reused, so ties are impossible.
+    Each set keeps its recency stack as one plain list of *all* its
+    slots, least recently used first (``orders[set_index]``).  Every
+    operation moves one slot to the very end (MRU) or the very front
+    (LRU), which preserves the relative order of all other slots --
+    exactly what ``list.insert(0, ...)`` / ``list.append(...)`` do in
+    the reference stacks, which keep the same order MRU-first.  The
+    victim is ``order[0]``: no scan.  A hit that promotes is
+    ``remove`` + ``append`` unless the slot is already MRU; a full-set
+    MRU fill rotates the victim from the front to the back in one
+    ``append(pop(0))``, and a full-set LRU fill leaves it in place.
 
-    The initial ages ``assoc-1 .. 0`` across ways ``0 .. assoc-1``
-    reproduce the reference's seed stack ``[0, 1, ..., assoc-1]``
-    (victim = last element = way ``assoc-1``).
+    Slots that were never filled keep the seed order ``[assoc-1 .. 0]``,
+    the reverse of the reference's seed stack ``[0, 1, ..., assoc-1]``
+    (victim = way ``assoc-1``), so a partly filled set names the same
+    victim as the reference.  Invalidation leaves the order alone.
+
+    :attr:`hit_array` holds, per slot, a reference to its set's list,
+    so a hit on a known slot reaches the list in one index.
     """
 
     promote_on_hit = True
@@ -123,16 +128,16 @@ class _StackPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, assoc: int, rng: random.Random):
         super().__init__(num_sets, assoc, rng)
-        ages: List[int] = []
-        for _ in range(num_sets):
-            ages.extend(range(assoc - 1, -1, -1))
-        self._ages = ages
-        self._tick = assoc   # next MRU stamp (above all initial ages)
-        self._low = -1       # next LRU stamp (below all initial ages)
-        self.hit_mode = "age" if self.promote_on_hit else "none"
-        self.hit_array = ages
+        self.orders: List[List[int]] = [
+            list(range(base + assoc - 1, base - 1, -1))
+            for base in range(0, num_sets * assoc, assoc)
+        ]
+        self.hit_array = [
+            order for order in self.orders for _ in range(assoc)
+        ]
+        self.hit_mode = "mru" if self.promote_on_hit else "none"
         if self.mru_insert_chance == 1.0:
-            self.insert_mode = "age_mru"
+            self.insert_mode = "mru"
 
     def _insert_position(self, set_index: int) -> int:
         """0 for an MRU insertion, ``assoc - 1`` for an LRU one."""
@@ -142,34 +147,27 @@ class _StackPolicy(ReplacementPolicy):
         return self.assoc - 1
 
     def insert_slot(self, slot: int) -> None:
+        order = self.hit_array[slot]
         if self._insert_position(slot // self.assoc) == 0:
-            self._ages[slot] = self._tick
-            self._tick += 1
-        else:
-            self._ages[slot] = self._low
-            self._low -= 1
+            if order[-1] != slot:
+                order.remove(slot)
+                order.append(slot)
+        elif order[0] != slot:
+            order.remove(slot)
+            order.insert(0, slot)
 
     def victim_slot(self, set_index: int) -> int:
-        # Slice + min + index run in C; ages are unique so min is
-        # unambiguous.  O(assoc), but paid once per eviction instead
-        # of the O(assoc) the reference stacks paid per access.
-        base = set_index * self.assoc
-        segment = self._ages[base:base + self.assoc]
-        return base + segment.index(min(segment))
+        return self.orders[set_index][0]
 
     def replace(self, set_index: int) -> int:
-        base = set_index * self.assoc
-        ages = self._ages
-        segment = ages[base:base + self.assoc]
-        slot = base + segment.index(min(segment))
+        order = self.orders[set_index]
         chance = self.mru_insert_chance
         if chance == 1.0 or (chance and self.rng.random() < chance):
-            ages[slot] = self._tick
-            self._tick += 1
-        else:
-            ages[slot] = self._low
-            self._low -= 1
-        return slot
+            slot = order.pop(0)
+            order.append(slot)
+            return slot
+        # An LRU insertion: the victim stays at the front.
+        return order[0]
 
 
 class LruPolicy(_StackPolicy):

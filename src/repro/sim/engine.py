@@ -70,10 +70,13 @@ class SimulationEngine:
         # reference kernel (``reference=True``) builds the reference
         # hierarchy and runs its own loop from repro.verify.reference,
         # which calls the cache layer for every step.  Over the flat
-        # layout, engines on always-MRU age policies (LRU/FIFO) on the
-        # L1-I and L2 without a prefetcher take the age loop, which
-        # inlines fills as plain array stores; every other engine
-        # (non-age policies, prefetchers) takes the general loop.
+        # layout, engines on always-MRU recency policies (LRU/FIFO) on
+        # the L1-I and L2 without a prefetcher take the age loop, which
+        # inlines every fill as a move within the set's order list;
+        # every other engine (other policies, prefetchers) takes the
+        # general loop.  "Age loop" is a name only, kept from when
+        # recency was kept as age stamps: the ``sim.run`` span's
+        # ``kernel="age"`` tag still names it.
         self.reference = reference
         if reference:
             from repro.verify.reference import (
@@ -87,8 +90,8 @@ class SimulationEngine:
         self._age_kernel = (
             not reference
             and not self.prefetcher_active
-            and self.hier.l1i[0].policy.insert_mode == "age_mru"
-            and self.hier.l2[0].policy.insert_mode == "age_mru"
+            and self.hier.l1i[0].policy.insert_mode == "mru"
+            and self.hier.l2[0].policy.insert_mode == "mru"
         )
         self._base_cpi = config.core.base_cpi
         self._l1i_sets = self.hier.l1i[0].num_sets
@@ -197,7 +200,6 @@ class SimulationEngine:
         l2_shared = (
             [c._where.get for c in l2_caches],
             [c._slot_tags for c in l2_caches],
-            [c.policy for c in l2_caches],
             [c.policy.hit_array for c in l2_caches],
             [c.stats for c in l2_caches],
             [c.miss_fill for c in l2_caches],
@@ -226,10 +228,9 @@ class SimulationEngine:
                 l1i.assoc,
                 l1i.num_sets,
                 l1i._set_mask if l1i._power_of_two else None,
-                i_pol,
                 i_pol.hit_mode,
                 i_pol.hit_array,
-                i_pol.insert_mode == "age_mru",
+                i_pol.insert_mode == "mru",
                 i_pol.on_miss if l1i._policy_has_on_miss else None,
                 i_pol.replace,
                 i_pol.insert_slot,
@@ -237,7 +238,6 @@ class SimulationEngine:
                 hier._l2_roundtrip[core],
                 l1d._where.get,
                 l1d._slot_tags,
-                l1d.policy,
                 l1d.policy.hit_mode,
                 l1d.policy.hit_array,
                 l1d.stats,
@@ -257,15 +257,15 @@ class SimulationEngine:
     ) -> int:
         """The general loop: every other policy, any prefetcher.
 
-        Serves the engines the age loop cannot: non-age policies
+        Serves the engines the age loop cannot: other policies
         (LIP/BIP/DIP/SRRIP/BRRIP/Random) on the L1-I or L2, and any
         prefetcher.  Like the age loop it works over the flat layout
         only, with the L1-I probe and fill, the home-slice L2 hit and
         the no-op-transition L1-D hit inlined, and counts L1-I hits,
         misses and evictions, L1-D inline hits, L2 messages and NoC
         hops in locals added once at exit.  A full L1-I set is filled
-        by the min-age victim plus an MRU stamp for ``age_mru``
-        policies and by one
+        by rotating its order list's LRU head to the MRU end for
+        ``mru`` policies and by one
         :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
         call for every other policy; a cold fill calls
         ``insert_slot``.  An L2 miss calls ``miss_fill`` and DRAM.  A
@@ -284,11 +284,11 @@ class SimulationEngine:
         bit.
         """
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len, i_assoc,
-         i_sets, i_mask, i_pol, i_mode, i_hit_array, i_age_mru,
-         i_on_miss, i_replace, i_insert, hops_row, lat2_row,
-         d_where_get, d_tags, d_pol, d_mode, d_hit_array, l1d_stats,
+         i_sets, i_mask, i_mode, i_hit_array, i_mru, i_on_miss,
+         i_replace, i_insert, hops_row, lat2_row,
+         d_where_get, d_tags, d_mode, d_hit_array, l1d_stats,
          l1d_hit_latency,
-         l2_where_gets, l2_tagsl, l2_pols, l2_hit_arrays, l2_statsl,
+         l2_where_gets, l2_tagsl, l2_hit_arrays, l2_statsl,
          l2_miss_fills, l2_mode, l2_nsets, l2_mask, num_cores,
          dram_access, directory_get, access_data, demand_miss,
          on_hit) = self._general_statics[core]
@@ -327,10 +327,11 @@ class SimulationEngine:
                 if slot is not None:
                     i_hits += 1
                     i_tags[slot] = tag
-                    if i_mode == "age":
-                        tick = i_pol._tick
-                        i_hit_array[slot] = tick
-                        i_pol._tick = tick + 1
+                    if i_mode == "mru":
+                        order = i_hit_array[slot]
+                        if order[-1] != slot:
+                            order.remove(slot)
+                            order.append(slot)
                     elif i_mode == "zero":
                         i_hit_array[slot] = 0
                     if on_hit is not None:
@@ -347,19 +348,12 @@ class SimulationEngine:
                         slot = i_slot_blocks.index(None, base,
                                                    base + i_assoc)
                         i_set_len[iset] += 1
-                        if i_age_mru:
-                            tick = i_pol._tick
-                            i_hit_array[slot] = tick
-                            i_pol._tick = tick + 1
-                        else:
-                            i_insert(slot)
+                        i_insert(slot)
                     else:
-                        if i_age_mru:
-                            segment = i_hit_array[base:base + i_assoc]
-                            slot = base + segment.index(min(segment))
-                            tick = i_pol._tick
-                            i_hit_array[slot] = tick
-                            i_pol._tick = tick + 1
+                        if i_mru:
+                            order = i_hit_array[base]
+                            slot = order.pop(0)
+                            order.append(slot)
                         else:
                             slot = i_replace(iset)
                         victim = i_slot_blocks[slot]
@@ -382,10 +376,11 @@ class SimulationEngine:
                     slot2 = l2_where_gets[sid](iblock)
                     if slot2 is not None:
                         l2_statsl[sid].hits += 1
-                        if l2_mode == "age":
-                            pol2 = l2_pols[sid]
-                            l2_hit_arrays[sid][slot2] = pol2._tick
-                            pol2._tick += 1
+                        if l2_mode == "mru":
+                            order = l2_hit_arrays[sid][slot2]
+                            if order[-1] != slot2:
+                                order.remove(slot2)
+                                order.append(slot2)
                         elif l2_mode == "zero":
                             l2_hit_arrays[sid][slot2] = 0
                         l2_tagsl[sid][slot2] = 0
@@ -423,10 +418,11 @@ class SimulationEngine:
                     ):
                         d_hits += 1
                         d_tags[slot] = 0
-                        if d_mode == "age":
-                            tick = d_pol._tick
-                            d_hit_array[slot] = tick
-                            d_pol._tick = tick + 1
+                        if d_mode == "mru":
+                            order = d_hit_array[slot]
+                            if order[-1] != slot:
+                                order.remove(slot)
+                                order.append(slot)
                         elif d_mode == "zero":
                             d_hit_array[slot] = 0
                     else:
@@ -488,8 +484,8 @@ class SimulationEngine:
             [c._slot_blocks for c in l2_caches],
             [c._slot_tags for c in l2_caches],
             [c._set_len for c in l2_caches],
-            [c.policy for c in l2_caches],
-            [c.policy._ages for c in l2_caches],
+            [c.policy.orders for c in l2_caches],
+            [c.policy.hit_array for c in l2_caches],
             [c.stats for c in l2_caches],
             [c.victim_callback for c in l2_caches],
             l2_caches[0].assoc,
@@ -513,14 +509,12 @@ class SimulationEngine:
                 l1i._slot_tags,
                 l1i._set_len,
                 l1i.assoc,
-                l1i.policy,
-                l1i.policy._ages,
+                l1i.policy.orders,
                 l1i.policy.promote_on_hit,
                 hier.noc._hops[core],
                 hier._l2_roundtrip[core],
                 l1d._where.get,
                 l1d._slot_tags,
-                l1d.policy,
                 l1d.policy.hit_mode,
                 l1d.policy.hit_array,
                 l1d.stats,
@@ -542,7 +536,8 @@ class SimulationEngine:
 
         The entire L1-I and L2 access/fill machinery is inlined as
         dict/array operations over the flat cache layout; replacement
-        is the age-stamp dance directly.  Charges and side effects are
+        works on each set's order list directly (the victim is its
+        head, and every fill appends to it).  Charges and side effects are
         ordered exactly as in the reference loop
         (:func:`repro.verify.reference.run_events_reference`), so every
         result is bit-identical to it.  The event walk is a ``for``
@@ -563,17 +558,16 @@ class SimulationEngine:
         comes from the prefix sums once, at the end.
         """
         (l1i, i_where, i_slot_blocks, i_tags, i_set_len,
-         i_assoc, i_pol, i_ages, i_promote, hops_row, lat2_row,
-         d_where_get, d_tags, d_pol, d_mode, d_ages, l1d_stats,
+         i_assoc, i_orders, i_promote, hops_row, lat2_row,
+         d_where_get, d_tags, d_mode, d_hit_array, l1d_stats,
          l1d_hit_latency,
-         l2_wheres, l2_blocks, l2_tagsl, l2_set_len, l2_pols,
-         l2_agesl, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
+         l2_wheres, l2_blocks, l2_tagsl, l2_set_len, l2_ordersl,
+         l2_hit_arrays, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
         events, prefix = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
-        i_tick = i_pol._tick
         n_events = len(events)
         pos = thread.pos
         end = min(n_events, pos + max_events)
@@ -599,19 +593,22 @@ class SimulationEngine:
                     i_hits += 1
                     i_tags[slot] = tag
                     if i_promote:
-                        i_ages[slot] = i_tick
-                        i_tick += 1
+                        order = i_orders[iset]
+                        if order[-1] != slot:
+                            order.remove(slot)
+                            order.append(slot)
                 else:
-                    # L1-I miss: fill (evicting by oldest age) ...
+                    # L1-I miss: fill (evicting the set's LRU slot) ...
                     i_misses += 1
-                    base = iset * i_assoc
+                    order = i_orders[iset]
                     if i_set_len[iset] < i_assoc:
+                        base = iset * i_assoc
                         slot = i_slot_blocks.index(None, base,
                                                    base + i_assoc)
                         i_set_len[iset] += 1
+                        order.remove(slot)
                     else:
-                        segment = i_ages[base:base + i_assoc]
-                        slot = base + segment.index(min(segment))
+                        slot = order.pop(0)
                         victim = i_slot_blocks[slot]
                         if i_victim_cb is not None:
                             i_victim_cb(victim, i_tags[slot])
@@ -622,8 +619,7 @@ class SimulationEngine:
                     i_slot_blocks[slot] = iblock
                     i_tags[slot] = tag
                     i_where[iblock] = slot
-                    i_ages[slot] = i_tick
-                    i_tick += 1
+                    order.append(slot)
                     # ... then the home L2 slice over the torus.
                     sid = iblock % num_cores
                     noc_hops += hops_row[sid]
@@ -633,25 +629,26 @@ class SimulationEngine:
                     if slot2 is not None:
                         l2_statsl[sid].hits += 1
                         if l2_promote:
-                            pol2 = l2_pols[sid]
-                            l2_agesl[sid][slot2] = pol2._tick
-                            pol2._tick += 1
+                            order = l2_hit_arrays[sid][slot2]
+                            if order[-1] != slot2:
+                                order.remove(slot2)
+                                order.append(slot2)
                         l2_tagsl[sid][slot2] = 0
                     else:
                         stats2 = l2_statsl[sid]
                         stats2.misses += 1
                         set2 = (iblock & l2_mask) if l2_pot \
                             else (iblock % l2_nsets)
-                        base2 = set2 * l2_assoc
                         blocks2 = l2_blocks[sid]
+                        order = l2_ordersl[sid][set2]
                         if l2_set_len[sid][set2] < l2_assoc:
+                            base2 = set2 * l2_assoc
                             slot2 = blocks2.index(None, base2,
                                                   base2 + l2_assoc)
                             l2_set_len[sid][set2] += 1
+                            order.remove(slot2)
                         else:
-                            ages2 = l2_agesl[sid]
-                            segment = ages2[base2:base2 + l2_assoc]
-                            slot2 = base2 + segment.index(min(segment))
+                            slot2 = order.pop(0)
                             victim = blocks2[slot2]
                             cb = l2_cbs[sid]
                             if cb is not None:
@@ -661,9 +658,7 @@ class SimulationEngine:
                         blocks2[slot2] = iblock
                         l2_tagsl[sid][slot2] = 0
                         where2[iblock] = slot2
-                        pol2 = l2_pols[sid]
-                        l2_agesl[sid][slot2] = pol2._tick
-                        pol2._tick += 1
+                        order.append(slot2)
                         latency += dram_access(iblock)
                     cycles += latency
                     if miss_log is not None:
@@ -694,12 +689,13 @@ class SimulationEngine:
                     ):
                         d_hits += 1
                         d_tags[slot] = 0
-                        if d_mode == "age":
-                            tick = d_pol._tick
-                            d_ages[slot] = tick
-                            d_pol._tick = tick + 1
+                        if d_mode == "mru":
+                            order = d_hit_array[slot]
+                            if order[-1] != slot:
+                                order.remove(slot)
+                                order.append(slot)
                         elif d_mode == "zero":
-                            d_ages[slot] = 0
+                            d_hit_array[slot] = 0
                     else:
                         cycles += (
                             access_data(core, dblock, dwrite)
@@ -726,7 +722,6 @@ class SimulationEngine:
                 break
 
         instructions = prefix[pos] - prefix[start]
-        i_pol._tick = i_tick
         i_stats = l1i.stats
         i_stats.hits += i_hits
         i_stats.misses += i_misses

@@ -204,7 +204,7 @@ class TransactionTrace:
           per-event ``ilen * cpi`` terms (bit-identical operands to
           :meth:`packed_events`), the distinct instruction
           blocks in first-occurrence order (a tuple), each block's last
-          within-run offset (its final age stamp under MRU promotion),
+          within-run offset (its last MRU promotion),
           the event count, and the distinct L1-I set indices the run's
           blocks map to.
 

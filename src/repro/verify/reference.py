@@ -94,8 +94,10 @@ class ReferenceRandomPolicy(_ReferencePolicy):
 class _ReferenceStackPolicy(_ReferencePolicy):
     """Recency stacks as per-set Python lists, ordered MRU-first.
 
-    This is the original O(assoc)-per-access implementation the age
-    stamps replaced; it remains the ground truth for the parity suite.
+    This is the original implementation, with the classic ``(set_index,
+    way)`` interface; the fast policies keep the same order reversed
+    (LRU first) in per-set slot lists.  It remains the ground truth for
+    the parity suite.
     """
 
     promote_on_hit = True

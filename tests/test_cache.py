@@ -131,7 +131,7 @@ def _cache_state(cache):
                   cache.policy._stacks)
     else:
         layout = (cache._where, cache._slot_blocks, cache._slot_tags,
-                  cache._set_len, cache.policy._ages, cache.policy._tick)
+                  cache._set_len, cache.policy.orders)
     return copy.deepcopy((layout, cache.stats.snapshot()))
 
 

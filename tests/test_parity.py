@@ -1,6 +1,6 @@
 """Differential parity: fast kernel vs reference kernel.
 
-The engine's specialized loops, flat cache layout, and age-counter
+The engine's specialized loops, flat cache layout, and order-list
 replacement must not change a single simulated number.  Each test here
 generates one trace set, runs it through both implementations *in the
 same process* (``reference=True`` picks the reference kernel when the
@@ -186,7 +186,7 @@ class TestTracedParity:
 #: Every registered policy the age loop cannot take.
 NON_AGE_POLICIES = tuple(
     name for name in POLICIES
-    if make_policy(name, 1, 1, random.Random(0)).insert_mode != "age_mru")
+    if make_policy(name, 1, 1, random.Random(0)).insert_mode != "mru")
 
 
 def _assert_state_parity(config, scheduler, prefetcher) -> None:
@@ -220,7 +220,7 @@ class TestGeneralLoopCacheState:
     def test_l1i_counters_match_reference(
             self, policy, prefetcher):
         # The L1s only, as in Fig. 9: the L2 stays LRU, so its inline
-        # hit takes the age stamp.
+        # hit moves the slot to its set's MRU end.
         config = tiny_scale().with_l1_replacement(policy)
         _assert_state_parity(config, StrexScheduler, prefetcher)
 
@@ -238,7 +238,7 @@ class TestGeneralLoopCacheState:
     @pytest.mark.parametrize("prefetcher", PREFETCHERS[1:])
     def test_age_policies_with_a_prefetcher(self, prefetcher):
         # LRU with a prefetcher takes the general loop's inlined
-        # min-age fill.
+        # order-list rotation fill.
         _assert_state_parity(tiny_scale(), StrexScheduler, prefetcher)
 
 
@@ -274,7 +274,7 @@ class MultiCallStrex(StrexScheduler):
 
 #: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
 #: takes the age loop; BIP (``fast``) takes the general loop, and a
-#: prefetcher the general loop too, with the L1-I's min-age fill; on the
+#: prefetcher the general loop too, with the L1-I's rotation fill; on the
 #: reference kernel all three take the reference loop.
 FLOOR_LOOPS = {
     "age": (lambda config: config, None),

@@ -7,6 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.replacement import make_policy, policy_names
+from repro.verify.reference import (
+    ReferenceBipPolicy,
+    ReferenceDipPolicy,
+    ReferenceFifoPolicy,
+    ReferenceLipPolicy,
+    ReferenceLruPolicy,
+)
 
 
 def _policy(name, num_sets=4, assoc=4, seed=1):
@@ -17,9 +24,11 @@ def _hit(policy, set_index, way):
     """A hit on ``way`` of ``set_index``, applied by ``hit_mode`` as
     ``Cache.access`` and both event loops inline it."""
     slot = set_index * policy.assoc + way
-    if policy.hit_mode == "age":
-        policy.hit_array[slot] = policy._tick
-        policy._tick += 1
+    if policy.hit_mode == "mru":
+        order = policy.hit_array[slot]
+        if order[-1] != slot:
+            order.remove(slot)
+            order.append(slot)
     elif policy.hit_mode == "zero":
         policy.hit_array[slot] = 0
 
@@ -253,6 +262,68 @@ class TestReplace:
         stepped.insert_slot(slot)
         assert replaced.replace(1) == slot == 6
         assert _state(replaced) == _state(stepped)
+
+
+class TestStackPolicyDifferential:
+    """Each flat recency policy against its reference stack policy.
+
+    Random hit/insert/victim/replace/miss sequences -- on cold and
+    partly filled sets too, since the policies do not track occupancy
+    -- must name the same victims, keep the same stack order and leave
+    both RNGs in the same state after every step.
+    """
+
+    REFERENCES = {
+        "lru": ReferenceLruPolicy,
+        "fifo": ReferenceFifoPolicy,
+        "lip": ReferenceLipPolicy,
+        "bip": ReferenceBipPolicy,
+        "dip": ReferenceDipPolicy,
+    }
+
+    @staticmethod
+    def _stack(policy, set_index):
+        """The flat policy's order as the reference's MRU-first ways."""
+        base = set_index * policy.assoc
+        return [slot - base for slot in reversed(policy.orders[set_index])]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @pytest.mark.parametrize("num_sets,assoc", [
+        (1, 1), (3, 2), (4, 4), (40, 8), (33, 16),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_stacks(self, name, num_sets, assoc, seed):
+        flat = make_policy(name, num_sets, assoc, random.Random(seed))
+        ref = self.REFERENCES[name](num_sets, assoc, random.Random(seed))
+        ops = random.Random(1000 + seed)
+        # A few hot sets, DIP's two leaders (0 and 16) among them, so
+        # sequences revisit sets and PSEL crosses its midpoint.
+        sets = sorted({0, 16 % num_sets, 1 % num_sets, num_sets - 1})
+        for _ in range(600):
+            set_index = ops.choice(sets)
+            way = ops.randrange(assoc)
+            op = ops.choice(("hit", "hit", "insert", "victim", "replace",
+                             "miss"))
+            if op == "hit":
+                _hit(flat, set_index, way)
+                ref.on_hit(set_index, way)
+            elif op == "insert":
+                _insert(flat, set_index, way)
+                ref.on_insert(set_index, way)
+            elif op == "victim":
+                assert _victim(flat, set_index) == ref.victim_way(set_index)
+            elif op == "replace":
+                victim = ref.victim_way(set_index)
+                ref.on_insert(set_index, victim)
+                assert (flat.replace(set_index) - set_index * assoc
+                        == victim)
+            else:
+                flat.on_miss(set_index)
+                ref.on_miss(set_index)
+            assert self._stack(flat, set_index) == ref._stacks[set_index]
+            assert flat.rng.getstate() == ref.rng.getstate()
+        for set_index in range(num_sets):
+            assert self._stack(flat, set_index) == ref._stacks[set_index]
 
 
 class TestBrrip:
