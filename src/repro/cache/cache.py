@@ -25,7 +25,7 @@ both produce bit-identical simulations.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.config import CacheConfig
 from repro.cache.replacement import ReplacementPolicy, make_policy
@@ -144,11 +144,6 @@ class Cache:
         """True if ``block`` is resident.  Does not touch stats or LRU."""
         return block in self._where
 
-    def count_resident(self, blocks: Iterable[int]) -> int:
-        """How many of ``blocks`` are resident (duplicates count each
-        time).  Does not touch stats or LRU."""
-        return sum(map(self._where.__contains__, blocks))
-
     def tag_of(self, block: int) -> Optional[int]:
         """Metadata tag of a resident block, or None if absent."""
         slot = self._where.get(block)
@@ -200,17 +195,18 @@ class Cache:
     def miss_fill(self, block: int, tag: int, set_index: int) -> None:
         """Demand-miss bookkeeping with a precomputed set index.
 
-        The caller -- :meth:`access`, an L2 miss in
-        :meth:`~repro.cache.hierarchy.MemoryHierarchy._l2_access` or in
-        the general event loop -- already established the block is
-        absent; this charges the miss and fills, in one call per miss.
-        A cold fill takes the set's first free slot and records it with
+        The caller -- :meth:`access`, the general event loop's L2 fill
+        or :meth:`~repro.cache.hierarchy.MemoryHierarchy.access_data`'s
+        fill under a policy that does not always insert at MRU --
+        already established the block is absent; this charges the miss
+        and fills, in one call per miss.  A cold fill takes the set's
+        first free slot and records it with
         :meth:`~repro.cache.replacement.ReplacementPolicy.insert_slot`;
         a full set is filled by one
         :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
         call, which picks the victim and records the insert, before the
-        victim callback fires.  Only the general event loop's L1-I
-        fill bypasses this method, and it follows the same steps.
+        victim callback fires.  The fills the event loops and
+        ``access_data`` inline follow the same steps.
         """
         self.stats.misses += 1
         policy = self.policy

@@ -91,77 +91,196 @@ class MemoryHierarchy:
              for s in range(n)]
             for c in range(n)
         ]
+        self._data_statics = self._build_data_statics()
 
     # ------------------------------------------------------------------
-    # L2 + DRAM
+    # Data path (MESI-lite)
     # ------------------------------------------------------------------
     def home_slice(self, block: int) -> int:
         """NUCA home slice of a block (static block interleaving)."""
         return block % self.config.num_cores
 
-    def _l2_access(self, core: int, block: int) -> int:
-        """Access the block's home L2 slice; fills from DRAM on miss.
+    def _build_data_statics(self) -> Optional[List[tuple]]:
+        """Per-core local-variable bundles for :meth:`access_data`.
 
-        Returns the round trip over the torus plus the slice's hit
-        latency, plus the DRAM latency on a miss.  The slice access is
-        inlined over the flat cache layout.  Both fast event loops
-        inline this whole method for L1-I misses, so on the fast
-        kernel it serves L1-D misses only; the reference hierarchy
-        (:mod:`repro.verify.reference`) takes the generic route, and
-        the parity tests require both to agree.
+        Like the engine's loop statics: cache storage arrays are
+        mutated in place, never rebound, so a call pays one tuple
+        unpack.  ``orders`` (``l2_ordersl`` for the L2 slices) holds
+        the per-set order lists when the policy always inserts at MRU
+        (LRU/FIFO), else None: those fills go through
+        :meth:`~repro.cache.cache.Cache.miss_fill`.
         """
-        self.l2_demand_traffic += 1
-        slice_id = block % self._num_cores
+        l2_caches = self.l2
+        l2 = l2_caches[0]
+        l2_mru = l2.policy.insert_mode == "mru"
         noc = self.noc
-        noc.messages += 1
-        noc.total_hops += noc._hops[core][slice_id]
-        latency = self._l2_roundtrip[core][slice_id]
-        slice_cache = self.l2[slice_id]
-        slot = slice_cache._where.get(block)
+        shared = (
+            self._directory,
+            self.l1d,
+            self._lost_to_invalidation,
+            self._num_cores,
+            noc,
+            noc._hops,
+            noc._latency,
+            l2_caches,
+            [c._where for c in l2_caches],
+            [c._slot_blocks for c in l2_caches],
+            [c._slot_tags for c in l2_caches],
+            [c._set_len for c in l2_caches],
+            [c.policy.orders for c in l2_caches] if l2_mru else None,
+            [c.policy.hit_array for c in l2_caches],
+            [c.stats for c in l2_caches],
+            l2.policy.hit_mode,
+            l2.assoc,
+            l2.num_sets,
+            l2._set_mask if l2._power_of_two else None,
+            self.dram.access,
+        )
+        statics = []
+        for core in range(self._num_cores):
+            l1d = self.l1d[core]
+            policy = l1d.policy
+            statics.append((
+                l1d,
+                l1d._where,
+                l1d._slot_blocks,
+                l1d._slot_tags,
+                l1d._set_len,
+                l1d.assoc,
+                l1d.num_sets,
+                l1d._set_mask if l1d._power_of_two else None,
+                policy.orders if policy.insert_mode == "mru" else None,
+                policy.hit_mode,
+                policy.hit_array,
+                l1d.stats,
+                l1d.config.hit_latency,
+                self._lost_to_invalidation[core],
+                noc._hops[core],
+                self._l2_roundtrip[core],
+            ) + shared)
+        return statics
+
+    def access_data(self, core: int, block: int, write: bool) -> int:
+        """Demand data access; returns latency in cycles.
+
+        Flat, as the event loops are: the L1-D probe and fill, the
+        home-slice L2 hit and fill and the dirty-remote forward are
+        inlined over the flat layout.  A fill rotates the set's order
+        list for policies that always insert at MRU and calls
+        ``miss_fill`` for every other policy; an L2 miss calls DRAM.
+        Each L2 request and each forward counts one NoC message and
+        its hops, as ``noc.latency`` does.  The reference hierarchy
+        (:mod:`repro.verify.reference`) keeps the generic route
+        through the cache layer, and the parity tests require both to
+        agree.
+        """
+        (l1d, where, slot_blocks, tags, set_len, assoc, nsets, mask,
+         orders, hit_mode, hit_array, stats, latency, lost, hops_row,
+         lat2_row, directory, l1ds, losts, num_cores, noc, hops, links,
+         l2_caches, l2_wheres, l2_blocks, l2_tagsl, l2_set_len,
+         l2_ordersl, l2_hit_arrays, l2_statsl, l2_mode, l2_assoc,
+         l2_nsets, l2_mask, dram_access) = self._data_statics[core]
+        entry = directory.get(block)
+        slot = where.get(block)
         if slot is not None:
-            slice_cache.stats.hits += 1
-            policy = slice_cache.policy
-            mode = policy.hit_mode
-            if mode == "mru":
-                order = policy.hit_array[slot]
+            stats.hits += 1
+            if hit_mode == "mru":
+                order = hit_array[slot]
                 if order[-1] != slot:
                     order.remove(slot)
                     order.append(slot)
-            elif mode == "zero":
-                policy.hit_array[slot] = 0
-            slice_cache._slot_tags[slot] = 0
-            return latency
-        slice_cache.miss_fill(
-            block, 0, slice_cache.set_index(block))
-        return latency + self.dram.access(block)
-
-    # ------------------------------------------------------------------
-    # Data path (MESI-lite)
-    # ------------------------------------------------------------------
-    def access_data(self, core: int, block: int, write: bool) -> int:
-        """Demand data access; returns latency in cycles."""
-        l1d = self.l1d[core]
-        entry = self._directory.get(block)
-        hit = l1d.access(block)
-        latency = l1d.config.hit_latency
-        if not hit:
-            if block in self._lost_to_invalidation[core]:
-                self._lost_to_invalidation[core].discard(block)
+            elif hit_mode == "zero":
+                hit_array[slot] = 0
+            tags[slot] = 0
+        else:
+            # L1-D miss: fill ...
+            dset = block & mask if mask is not None else block % nsets
+            if orders is None:
+                l1d.miss_fill(block, 0, dset)
+            else:
+                stats.misses += 1
+                order = orders[dset]
+                if set_len[dset] < assoc:
+                    base = dset * assoc
+                    slot = slot_blocks.index(None, base, base + assoc)
+                    set_len[dset] += 1
+                    order.remove(slot)
+                else:
+                    slot = order.pop(0)
+                    victim = slot_blocks[slot]
+                    if l1d.victim_callback is not None:
+                        l1d.victim_callback(victim, tags[slot])
+                    stats.evictions += 1
+                    del where[victim]
+                slot_blocks[slot] = block
+                tags[slot] = 0
+                where[block] = slot
+                order.append(slot)
+            if block in lost:
+                lost.discard(block)
                 self.coherence_misses[core] += 1
-            latency += self._l2_access(core, block)
-            if entry is not None and entry.owner is not None \
-                    and entry.owner != core:
-                # Dirty in a remote L1-D: forward from the owner.
-                latency += self.noc.latency(self.home_slice(block),
-                                            entry.owner)
+            # ... then the home L2 slice over the torus ...
+            self.l2_demand_traffic += 1
+            sid = block % num_cores
+            noc.messages += 1
+            noc.total_hops += hops_row[sid]
+            latency += lat2_row[sid]
+            slot = l2_wheres[sid].get(block)
+            if slot is not None:
+                l2_statsl[sid].hits += 1
+                if l2_mode == "mru":
+                    order = l2_hit_arrays[sid][slot]
+                    if order[-1] != slot:
+                        order.remove(slot)
+                        order.append(slot)
+                elif l2_mode == "zero":
+                    l2_hit_arrays[sid][slot] = 0
+                l2_tagsl[sid][slot] = 0
+            else:
+                set2 = block & l2_mask if l2_mask is not None \
+                    else block % l2_nsets
+                if l2_ordersl is None:
+                    l2_caches[sid].miss_fill(block, 0, set2)
+                else:
+                    stats2 = l2_statsl[sid]
+                    stats2.misses += 1
+                    blocks2 = l2_blocks[sid]
+                    tags2 = l2_tagsl[sid]
+                    order = l2_ordersl[sid][set2]
+                    if l2_set_len[sid][set2] < l2_assoc:
+                        base = set2 * l2_assoc
+                        slot = blocks2.index(None, base, base + l2_assoc)
+                        l2_set_len[sid][set2] += 1
+                        order.remove(slot)
+                    else:
+                        slot = order.pop(0)
+                        victim = blocks2[slot]
+                        callback = l2_caches[sid].victim_callback
+                        if callback is not None:
+                            callback(victim, tags2[slot])
+                        stats2.evictions += 1
+                        del l2_wheres[sid][victim]
+                    blocks2[slot] = block
+                    tags2[slot] = 0
+                    l2_wheres[sid][block] = slot
+                    order.append(slot)
+                latency += dram_access(block)
+            # ... and, when a remote L1-D holds it dirty, the forward
+            # from the home slice to the owner.
+            if entry is not None:
+                owner = entry.owner
+                if owner is not None and owner != core:
+                    noc.messages += 1
+                    noc.total_hops += hops[sid][owner]
+                    latency += links[sid][owner]
         if entry is None:
             entry = CoherenceState()
-            self._directory[block] = entry
+            directory[block] = entry
         if write:
             for sharer in entry.sharers:
                 if sharer != core:
-                    if self.l1d[sharer].invalidate(block):
-                        self._lost_to_invalidation[sharer].add(block)
+                    if l1ds[sharer].invalidate(block):
+                        losts[sharer].add(block)
             entry.sharers = {core}
             entry.owner = core
         else:

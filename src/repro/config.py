@@ -147,7 +147,11 @@ class SliccConfig:
     """SLICC migration parameters (modelled after Atta et al., MICRO'12).
 
     Attributes:
-        miss_window: number of recent instruction-block fetches tracked.
+        miss_window: validated but read by nothing.  The burst window
+            is :attr:`repro.sched.slicc.SliccScheduler.SLICE_EVENTS`
+            (64 events): a slice ends after that many events or after
+            ``miss_threshold`` misses, whichever comes first.  The field
+            stays because saved configs (the fuzz corpus) carry it.
         miss_threshold: misses within the window that signal a new segment.
         migration_cycles: cost of migrating a context between cores.
         signature_match: fraction of recent missed blocks that must hit in

@@ -25,20 +25,18 @@ class DramModel:
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.blocks_per_row = max(1, config.row_bytes // BLOCK_SIZE)
-        total_banks = config.num_channels * config.num_banks
-        self._open_rows: List[Optional[int]] = [None] * total_banks
+        self._total_banks = config.num_channels * config.num_banks
+        self._open_rows: List[Optional[int]] = [None] * self._total_banks
         self.row_hits = 0
         self.row_misses = 0
 
-    def _bank_and_row(self, block: int) -> tuple[int, int]:
-        row = block // self.blocks_per_row
-        total_banks = self.config.num_channels * self.config.num_banks
-        bank = row % total_banks
-        return bank, row
-
     def access(self, block: int) -> int:
-        """Charge one access; returns latency in core cycles."""
-        bank, row = self._bank_and_row(block)
+        """Charge one access; returns latency in core cycles.
+
+        The block's row is ``block // blocks_per_row`` and its bank the
+        row modulo the total bank count."""
+        row = block // self.blocks_per_row
+        bank = row % self._total_banks
         if self.config.open_page and self._open_rows[bank] == row:
             self.row_hits += 1
             return self.config.row_hit_latency

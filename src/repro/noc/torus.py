@@ -39,10 +39,11 @@ class TorusNetwork:
         self.messages = 0
         self.total_hops = 0
         # The topology is static, so hop distances and latencies are
-        # precomputed once for the engine's age loop and the inlined
-        # L2 access, which index the tables directly.  latency()
-        # itself keeps the arithmetic form: it serves the reference
-        # path, whose performance is the benchmark baseline.
+        # precomputed once for the fast kernel -- the event loops and
+        # MemoryHierarchy.access_data -- which index the tables
+        # directly.  latency() keeps the arithmetic form: it serves the
+        # reference hierarchy, so a wrong table diverges the kernels,
+        # and SLICC's migrations, one call per migration.
         self._hops = [
             [self.hop_distance(src, dst) for dst in range(num_nodes)]
             for src in range(num_nodes)

@@ -32,7 +32,10 @@ class Scheduler:
 
     def __init__(self, engine):
         self.engine = engine
-        self._wakeups: List[int] = []
+        #: Cores woken since the engine last drained them.  The list is
+        #: never rebound, so the engine tests it after each slice and
+        #: calls :meth:`drain_wakeups` only when it is not empty.
+        self.wakeups: List[int] = []
 
     def start(self) -> None:
         """Perform initial thread placement."""
@@ -48,14 +51,12 @@ class Scheduler:
 
     def wake(self, core: int) -> None:
         """Tell the engine that a parked core may have work now."""
-        self._wakeups.append(core)
+        self.wakeups.append(core)
 
     def drain_wakeups(self) -> List[int]:
         """Engine-side: collect and clear pending wakeups."""
-        if not self._wakeups:
-            return []
-        wakeups = self._wakeups
-        self._wakeups = []
+        wakeups = self.wakeups[:]
+        self.wakeups.clear()
         return wakeups
 
 

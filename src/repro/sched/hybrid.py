@@ -18,7 +18,7 @@ is still slightly higher than STREX").
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.fptable import FPTable, profile_fptable
 from repro.sched.slicc import SliccScheduler
@@ -47,24 +47,19 @@ class HybridScheduler:
             else StrexScheduler(engine, team_size=team_size)
         )
         self.decision = self.delegate.name
+        # The engine's per-slice hooks are the delegate's own, bound
+        # here, so a slice pays no forwarding call.
+        self.has_work = self.delegate.has_work
+        self.run_slice = self.delegate.run_slice
+        self.wake = self.delegate.wake
+        self.drain_wakeups = self.delegate.drain_wakeups
+        self.wakeups = self.delegate.wakeups
 
     @property
     def uses_phase_tags(self) -> bool:
         """Phase-ID tagging is a property of the chosen delegate."""
         return self.delegate.uses_phase_tags
 
-    # Delegated engine hooks ------------------------------------------
+    # Engine hooks: the per-slice ones are bound in __init__ -------
     def start(self) -> None:
         self.delegate.start()
-
-    def has_work(self, core: int) -> bool:
-        return self.delegate.has_work(core)
-
-    def run_slice(self, core: int) -> None:
-        self.delegate.run_slice(core)
-
-    def wake(self, core: int) -> None:
-        self.delegate.wake(core)
-
-    def drain_wakeups(self) -> List[int]:
-        return self.delegate.drain_wakeups()

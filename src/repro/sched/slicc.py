@@ -72,6 +72,12 @@ class SliccScheduler(Scheduler):
         self.match_migrations = 0
         self.expand_migrations = 0
         self.bursts = 0
+        self._miss_threshold = self.params.miss_threshold
+        # Membership in each L1-I's block -> slot dict, for the
+        # signature probe; a cache never rebinds the dict.
+        self._l1i_holds = [
+            cache._where.__contains__ for cache in engine.hier.l1i
+        ]
 
     # ------------------------------------------------------------------
     # Placement
@@ -122,15 +128,18 @@ class SliccScheduler(Scheduler):
         if not queue:
             return
         thread = queue[0]
-        engine.mark_started(core, thread)
+        if thread.start_time is None:
+            # The thread's first dispatch (engine.mark_started).
+            thread.start_time = engine.core_time[core]
 
         miss_log: List[int] = []
+        threshold = self._miss_threshold
         executed = engine.run_events(
             core,
             thread,
             self.SLICE_EVENTS,
             miss_log=miss_log,
-            stop_after_misses=self.params.miss_threshold,
+            stop_after_misses=threshold,
         )
         tid = thread.thread_id
         if miss_log:
@@ -140,17 +149,14 @@ class SliccScheduler(Scheduler):
             if len(recent) > self.PROBE_BLOCKS:
                 del recent[: len(recent) - self.PROBE_BLOCKS]
 
-        if thread.finished:
+        if thread.pos >= thread.n_events:
             self._finish(core, thread)
             return
 
         cooldown = self._cooldown.get(tid, 0)
         if cooldown > 0:
             self._cooldown[tid] = cooldown - executed
-            self._steal_to_idle(core)
-            return
-
-        if len(miss_log) >= self.params.miss_threshold:
+        elif len(miss_log) >= threshold:
             # Miss burst: the thread is fetching a code segment it does
             # not have locally.
             self.bursts += 1
@@ -175,7 +181,8 @@ class SliccScheduler(Scheduler):
         # No rotation: a thread occupies its core until it migrates away
         # or finishes (hardware threads are not timer-multiplexed).
         # Waiting threads reach idle cores via OS-style load balancing.
-        self._steal_to_idle(core)
+        if len(queue) > 1:
+            self._steal_to_idle(core)
 
     def _finish(self, core: int, thread: TxnThread) -> None:
         self.engine.mark_finished(core, thread)
@@ -188,13 +195,16 @@ class SliccScheduler(Scheduler):
     def _steal_to_idle(self, core: int) -> None:
         """Move one waiting thread to an idle core (OS load balancing).
 
-        Runs only when a core is completely idle, so in steady state --
-        all pipeline stages busy -- it never fires; it parallelizes
-        workloads whose threads never migrate on their own (MapReduce)
-        and drains the admission transient.
+        Called after every slice that leaves ``core`` more than one
+        thread, and after a finish; it moves a thread only when another
+        core is completely idle, so in steady state -- all pipeline
+        stages busy -- it never fires.  It parallelizes workloads
+        whose threads never migrate on their own (MapReduce) and drains
+        the admission transient.
         """
         queue = self._queues[core]
-        if len(queue) <= 1:
+        if len(queue) <= 1 or all(self._queues):
+            # No thread to spare, or no idle core to take it.
             return
         # Only threads that have not started executing are eligible: a
         # mid-flight thread has cache affinity to the pipeline and
@@ -225,22 +235,27 @@ class SliccScheduler(Scheduler):
     def _matched_target(self, core: int,
                         thread: TxnThread) -> Optional[int]:
         """The remote core whose L1-I signature best covers the thread's
-        recent misses, or None if no core clears the match threshold."""
+        recent misses, or None if no core clears the match threshold.
+
+        A core's score is how many probe blocks its L1-I holds (a
+        duplicate counts each time it appears); the first core with
+        the highest count wins, and only its count is divided by the
+        probe length for the ``signature_match`` threshold.
+        """
         probe = thread.recent_misses[-self.PROBE_BLOCKS:]
         if not probe:
             return None
-        l1is = self.engine.hier.l1i
         best_core = None
-        best_score = 0.0
-        for candidate in range(len(l1is)):
+        best_count = 0
+        for candidate, holds in enumerate(self._l1i_holds):
             if candidate == core:
                 continue
-            score = l1is[candidate].count_resident(probe) / len(probe)
-            if score > best_score:
-                best_score = score
+            count = sum(map(holds, probe))
+            if count > best_count:
+                best_count = count
                 best_core = candidate
         if best_core is not None and \
-                best_score >= self.params.signature_match:
+                best_count / len(probe) >= self.params.signature_match:
             return best_core
         return None
 

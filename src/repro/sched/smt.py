@@ -75,7 +75,7 @@ class SmtBaselineScheduler(Scheduler):
             return
         thread = contexts[0]
         self.engine.run_events(core, thread, self.SMT_QUANTUM)
-        if thread.finished:
+        if thread.pos >= thread.n_events:  # finished
             self.engine.mark_finished(core, thread)
             contexts.popleft()
             self._admit(core)

@@ -118,10 +118,15 @@ class SimulationEngine:
         # REPRO_SIM_CHECK=1 arms the invariant oracles; like the
         # kernel choice, the decision is latched at construction.
         self.checker = make_checker(self)
-        # One add per run_events call (the slice-boundary count).
+        # One add per kernel call (the slice-boundary count), made by
+        # each of the three loops itself.
         self.kernel_calls = 0
         if self._age_kernel:
             self._bind_views()
+        # run_events *is* the bound loop: a slice pays no dispatch
+        # frame.  A class whose run_events was replaced keeps its own.
+        if type(self).run_events is _RUN_EVENTS:
+            self.run_events = self._loop
 
     def _bind_views(self) -> None:
         """Bind each thread's age-loop kernel view once.
@@ -172,10 +177,13 @@ class SimulationEngine:
         segment, not after a whole slice has been fetched into the
         wrong core.
 
+        An engine binds this name to its loop at construction, so the
+        call lands in the loop directly; the loop counts
+        :attr:`kernel_calls`.
+
         Returns:
             The number of events executed.
         """
-        self.kernel_calls += 1
         return self._loop(core, thread, max_events, tag, switch_floor,
                           miss_log, stop_after_misses)
 
@@ -250,10 +258,10 @@ class SimulationEngine:
         core: int,
         thread: TxnThread,
         max_events: int,
-        tag: int,
-        switch_floor: Optional[int],
-        miss_log: Optional[list],
-        stop_after_misses: int,
+        tag: int = 0,
+        switch_floor: Optional[int] = None,
+        miss_log: Optional[list] = None,
+        stop_after_misses: int = 0,
     ) -> int:
         """The general loop: every other policy, any prefetcher.
 
@@ -292,6 +300,7 @@ class SimulationEngine:
          l2_miss_fills, l2_mode, l2_nsets, l2_mask, num_cores,
          dram_access, directory_get, access_data, demand_miss,
          on_hit) = self._general_statics[core]
+        self.kernel_calls += 1
         iblocks, ilens, dblocks, dwrites = thread.trace.event_columns()
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
@@ -527,10 +536,10 @@ class SimulationEngine:
         core: int,
         thread: TxnThread,
         max_events: int,
-        tag: int,
-        switch_floor: Optional[int],
-        miss_log: Optional[list],
-        stop_after_misses: int,
+        tag: int = 0,
+        switch_floor: Optional[int] = None,
+        miss_log: Optional[list] = None,
+        stop_after_misses: int = 0,
     ) -> int:
         """The specialized loop: LRU/FIFO caches, no prefetcher.
 
@@ -565,6 +574,7 @@ class SimulationEngine:
          l2_hit_arrays, l2_statsl, l2_cbs, l2_assoc, l2_nsets, l2_pot,
          l2_mask, l2_promote, num_cores, dram_access, directory_get,
          access_data) = self._age_statics[core]
+        self.kernel_calls += 1
         events, prefix = thread.view
         i_victim_cb = l1i.victim_callback
         i_where_get = i_where.get
@@ -806,13 +816,26 @@ class SimulationEngine:
             return result
 
     def _run(self, workload_name: str) -> RunResult:
+        """Run slices, earliest core clock first, until every thread
+        finishes.
+
+        The heap holds distinct ``(core_time, core)`` pairs, so a tie
+        breaks by core id.  A core that still has work after its slice
+        goes back in and the earliest comes out in one
+        ``heappushpop``; it is the same core the push-then-pop pair
+        would pick.  Wakeups are drained only when a slice queued
+        some, and ``has_work`` is asked only of the core that just ran
+        and of a core taken off the heap.
+        """
         scheduler = self.scheduler
         scheduler.start()
         has_work = scheduler.has_work
         run_slice = scheduler.run_slice
         drain_wakeups = scheduler.drain_wakeups
+        pending = scheduler.wakeups
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         core_time = self.core_time
         heap = [
             (core_time[core], core)
@@ -820,30 +843,41 @@ class SimulationEngine:
             if has_work(core)
         ]
         heapq.heapify(heap)
-        in_heap = {core for _, core in heap}
+        in_heap = [False] * self.config.num_cores
+        for _, core in heap:
+            in_heap[core] = True
         checker = self.checker
         num_threads = len(self.threads)
+        core = -1  # no core chosen: take the earliest off the heap
         while self.finished_threads < num_threads:
-            if not heap:
-                raise RuntimeError(
-                    "deadlock: unfinished threads but no runnable core"
-                )
-            _, core = heappop(heap)
-            in_heap.discard(core)
-            if not has_work(core):
-                continue
+            if core < 0:
+                if not heap:
+                    raise RuntimeError(
+                        "deadlock: unfinished threads but no runnable core"
+                    )
+                core = heappop(heap)[1]
+                in_heap[core] = False
+                if not has_work(core):
+                    core = -1
+                    continue
             run_slice(core)
             if checker is not None:
                 checker.after_slice(core)
-            if has_work(core):
-                # Just popped, so never already queued.
-                heappush(heap, (core_time[core], core))
-                in_heap.add(core)
-            # Schedulers may have handed work to other (parked) cores.
-            for other in drain_wakeups():
-                if has_work(other) and other not in in_heap:
-                    heappush(heap, (core_time[other], other))
-                    in_heap.add(other)
+            if pending:
+                # The scheduler handed work to other (parked) cores.
+                for other in drain_wakeups():
+                    if other != core and not in_heap[other] \
+                            and has_work(other):
+                        heappush(heap, (core_time[other], other))
+                        in_heap[other] = True
+            if not has_work(core):
+                core = -1
+                continue
+            chosen = heappushpop(heap, (core_time[core], core))[1]
+            if chosen != core:
+                in_heap[core] = True
+                in_heap[chosen] = False
+                core = chosen if has_work(chosen) else -1
 
         return self._collect(workload_name)
 
@@ -881,3 +915,8 @@ class SimulationEngine:
         if self.checker is not None:
             self.checker.finalize(result)
         return result
+
+
+#: The class's own ``run_events``; an engine binds its loop in its place
+#: unless the class attribute was replaced.
+_RUN_EVENTS = SimulationEngine.run_events

@@ -7,12 +7,13 @@
 loops.  Its caches keep the original per-set-dict layout
 (:class:`ReferenceCache`) driven by the original recency-stack and
 nested-RRPV replacement policies (the ``Reference*Policy`` family), its
-L2 access takes the generic ``noc.latency`` + :meth:`Cache.access`
-route, and its loop makes each of these steps a call: one
-:meth:`ReferenceCache.access` per instruction fetch, the prefetcher's
-``covers``/``record``/``on_fetch`` per miss, ``access_data`` per data
-reference.  The oracle owns its cache, its policies, its L2 route and
-its loop; the fast kernel shares none of them.
+L2 access and data path take the generic ``noc.latency`` +
+:meth:`Cache.access` route, and its loop makes each of these steps a
+call: one :meth:`ReferenceCache.access` per instruction fetch, the
+prefetcher's ``covers``/``record``/``on_fetch`` per miss,
+``access_data`` per data reference.  The oracle owns its cache, its
+policies, its L2 route, its data path and its loop; the fast kernel
+shares none of them.
 
 Nothing here is on a production path.  It exists so the parity tests,
 ``repro diff --reference``, the fuzz harness and ``repro perf`` can
@@ -29,10 +30,10 @@ This module is imported lazily, only by engines built with
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.cache.cache import Cache, VictimCallback
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import CoherenceState, MemoryHierarchy
 from repro.cache.replacement import (
     BipPolicy,
     BrripPolicy,
@@ -235,6 +236,20 @@ _REFERENCE_POLICIES = {
 # ----------------------------------------------------------------------
 # Cache and hierarchy
 # ----------------------------------------------------------------------
+class _Residents:
+    """``block in view`` over a :class:`ReferenceCache`: the membership
+    test of the fast cache's ``_where`` dict, answered by
+    :meth:`ReferenceCache.contains`."""
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, cache: "ReferenceCache"):
+        self._cache = cache
+
+    def __contains__(self, block: int) -> bool:
+        return self._cache.contains(block)
+
+
 class ReferenceCache(Cache):
     """The pre-optimization per-set-dict layout (parity ground truth).
 
@@ -256,6 +271,9 @@ class ReferenceCache(Cache):
         # kernels draw at the same call sites.
         self.policy = _REFERENCE_POLICIES[config.replacement](
             self.num_sets, self.assoc, self.policy.rng)
+        # Code that probes ``block in cache._where`` (SLICC's signature
+        # match) gets its answer from the per-set dicts.
+        self._where = _Residents(self)
 
     def _init_storage(self) -> None:
         # Per-set mapping of resident block -> way, plus per-way arrays
@@ -272,9 +290,6 @@ class ReferenceCache(Cache):
 
     def contains(self, block: int) -> bool:
         return block in self._lookup[self.set_index(block)]
-
-    def count_resident(self, blocks: Iterable[int]) -> int:
-        return sum(map(self.contains, blocks))
 
     def tag_of(self, block: int) -> Optional[int]:
         set_index = self.set_index(block)
@@ -334,15 +349,22 @@ class ReferenceCache(Cache):
 
 class ReferenceHierarchy(MemoryHierarchy):
     """:class:`MemoryHierarchy` over :class:`ReferenceCache` everywhere,
-    with the generic L2 access.
+    with the generic L2 access and data path.
 
     The L2 route charges ``2 * noc.latency`` plus the slice's hit
     latency and goes through :meth:`ReferenceCache.access`; it never
     reads the fast hierarchy's precomputed round-trip table, so a bug
     in that table diverges the two kernels instead of hitting both.
+    :meth:`access_data` is the generic data path: one
+    :meth:`ReferenceCache.access` for the L1-D, :meth:`_l2_access` on
+    a miss and ``noc.latency`` for a dirty remote forward.
     """
 
     cache_class = ReferenceCache
+
+    def _build_data_statics(self) -> None:
+        """The generic data path reads no statics."""
+        return None
 
     def _l2_access(self, core: int, block: int) -> int:
         self.l2_demand_traffic += 1
@@ -354,6 +376,37 @@ class ReferenceHierarchy(MemoryHierarchy):
             latency += self.dram.access(block)
         return latency
 
+    def access_data(self, core: int, block: int, write: bool) -> int:
+        l1d = self.l1d[core]
+        entry = self._directory.get(block)
+        hit = l1d.access(block)
+        latency = l1d.config.hit_latency
+        if not hit:
+            if block in self._lost_to_invalidation[core]:
+                self._lost_to_invalidation[core].discard(block)
+                self.coherence_misses[core] += 1
+            latency += self._l2_access(core, block)
+            if entry is not None and entry.owner is not None \
+                    and entry.owner != core:
+                # Dirty in a remote L1-D: forward from the owner.
+                latency += self.noc.latency(self.home_slice(block),
+                                            entry.owner)
+        if entry is None:
+            entry = CoherenceState()
+            self._directory[block] = entry
+        if write:
+            for sharer in entry.sharers:
+                if sharer != core:
+                    if self.l1d[sharer].invalidate(block):
+                        self._lost_to_invalidation[sharer].add(block)
+            entry.sharers = {core}
+            entry.owner = core
+        else:
+            if entry.owner is not None and entry.owner != core:
+                entry.owner = None  # downgrade M -> S
+            entry.sharers.add(core)
+        return latency
+
 
 # ----------------------------------------------------------------------
 # Event loop
@@ -363,10 +416,10 @@ def run_events_reference(
     core: int,
     thread,
     max_events: int,
-    tag: int,
-    switch_floor: Optional[int],
-    miss_log: Optional[list],
-    stop_after_misses: int,
+    tag: int = 0,
+    switch_floor: Optional[int] = None,
+    miss_log: Optional[list] = None,
+    stop_after_misses: int = 0,
 ) -> int:
     """The reference kernel's event loop, bound to an engine built
     with ``reference=True``.
@@ -380,6 +433,7 @@ def run_events_reference(
     bound are checked after every event.  The fast kernel's two loops
     inline all of this and must match it bit for bit.
     """
+    engine.kernel_calls += 1
     iblocks, ilens, dblocks, dwrites = thread.trace.event_columns()
     n_events = len(iblocks)
     pos = thread.pos

@@ -1,15 +1,12 @@
 """Tests for repro.cache.cache."""
 
-import copy
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
 from repro.config import CacheConfig
-from repro.verify.reference import ReferenceCache
 
 
 def new_cache(size=1024, assoc=4, replacement="lru", callback=None):
@@ -121,46 +118,6 @@ class TestTags:
 
     def test_tag_of_absent_block_is_none(self):
         assert new_cache().tag_of(1) is None
-
-
-def _cache_state(cache):
-    """A deep copy of everything a presence query must leave alone:
-    residency, tags, replacement state and stats, on either layout."""
-    if isinstance(cache, ReferenceCache):
-        layout = (cache._lookup, cache._blocks, cache._tags,
-                  cache.policy._stacks)
-    else:
-        layout = (cache._where, cache._slot_blocks, cache._slot_tags,
-                  cache._set_len, cache.policy.orders)
-    return copy.deepcopy((layout, cache.stats.snapshot()))
-
-
-class TestCountResident:
-    """SLICC's signature probe counts residents on either layout."""
-
-    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
-    def test_counts_residents_and_duplicates(self, cls):
-        cache = cls(CacheConfig(1024, assoc=4), rng=random.Random(7))
-        for block in (3, 5, 8):
-            cache.access(block)
-        before = _cache_state(cache)
-        assert cache.count_resident([]) == 0
-        assert cache.count_resident([3, 4, 5]) == 2
-        # A duplicate in the probe counts each time it appears.
-        assert cache.count_resident([3, 3, 9, 8, 3]) == 4
-        assert cache.count_resident(iter((5, 6))) == 1
-        # A presence query: no residency, tag, recency or stats side
-        # effects.
-        assert _cache_state(cache) == before
-
-    @pytest.mark.parametrize("cls", (Cache, ReferenceCache))
-    def test_matches_contains_after_evictions(self, cls):
-        cache = cls(CacheConfig(256, assoc=2), rng=random.Random(7))
-        for block in range(0, 64, 3):
-            cache.access(block)
-        probe = list(range(64)) + [0, 63, 63]
-        assert cache.count_resident(probe) == sum(
-            1 for block in probe if cache.contains(block))
 
 
 class TestInvalidate:

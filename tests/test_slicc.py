@@ -169,6 +169,26 @@ class TestSignatureMatching:
         thread.recent_misses = []
         assert engine.scheduler._matched_target(0, thread) is None
 
+    def test_duplicate_probe_blocks_count_each_time(self):
+        # A block missed twice in a row appears twice in the probe and
+        # scores twice: four copies of one held block make 4/8, which
+        # clears the 50% threshold, where the distinct blocks alone
+        # (1 of 5) would not.
+        traces = [synthetic_trace(0, [2000])]
+        engine = make_engine(traces, cores=4)
+        scheduler = engine.scheduler
+        thread = engine.threads[0]
+        engine.hier.l1i[2].access(3000)
+        thread.recent_misses = [3000] * 4 + [3001, 3002, 3003, 3004]
+        assert scheduler._matched_target(0, thread) == 2
+        # Multiplicity also ranks candidates: three copies of the block
+        # core 3 holds beat the two distinct blocks core 1 holds.
+        engine.hier.l1i[3].access(3100)
+        for block in (3101, 3102):
+            engine.hier.l1i[1].access(block)
+        thread.recent_misses = [3100, 3100, 3100, 3101, 3102]
+        assert scheduler._matched_target(0, thread) == 3
+
     def test_partial_match_below_threshold_ignored(self):
         traces = [synthetic_trace(0, [2000])]
         engine = make_engine(traces, cores=4)
