@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regression triage with the repro.audit APIs.
+"""Regression triage with the audit layer's APIs (repro.exp.diff,
+repro.exp.baseline).
 
 A simulator change landed and a figure moved — but *which* cells moved,
 and by how much?  This example drives the audit layer programmatically,

@@ -1,14 +1,15 @@
-"""Command-line interface: ``python -m repro``.
+"""Command-line interface: ``python -m repro COMMAND``.
 
-Runs one simulation (or a core sweep) of a chosen workload under a
-chosen scheduler and prints the paper's metrics.  The ``sweep``
-subcommand expands a full parameter grid and drives it through the
-``repro.exp`` runner (parallel workers + content-addressed result
-cache); a killed sweep resumes when rerun, its finished cells coming
-back as cache hits.  ``main()`` dispatches every subcommand through
-the ``COMMANDS`` table; with no subcommand it runs the flag-only
-single run or core sweep, and a first word that is neither a flag nor
-a command is a usage error naming the commands.
+``main()`` dispatches every subcommand through the ``COMMANDS`` table;
+a missing or unknown command is a usage error naming the commands, and
+``python -m repro --help`` lists them.
+
+The ``sweep`` subcommand expands a parameter grid and drives it
+through the ``repro.exp`` runner (parallel workers + content-addressed
+result cache), printing the paper's metrics per cell and each cell's
+throughput relative to the grid's matching ``base`` cell; a killed
+sweep resumes when rerun, its finished cells coming back as cache
+hits.
 
 The ``shard`` subcommand splits a sweep across machines (or CI jobs)
 by hash-range of the content-addressed cache key: ``--shard i/N`` runs
@@ -25,11 +26,10 @@ manifests cell-by-cell by *spec identity* (ignoring the source
 fingerprint) and reports per-metric drift, exiting nonzero on any
 out-of-tolerance change; ``diff --reference`` instead runs a grid
 through both the fast kernel and the reference kernel
-(``repro.verify.reference``) and asserts byte-equal results; ``diff --audit A B`` walks two
-``audit/<fig>.jsonl`` directories and prints a per-figure drift
-dashboard.  The ``baseline`` subcommand maintains committed metric
-snapshots (``pin``/``check``/``update``) that give CI a cell-level
-regression gate.
+(``repro.verify.reference``) and asserts byte-equal results.  The
+``baseline`` subcommand maintains committed metric snapshots
+(``pin``/``check``/``update``) that give CI a cell-level regression
+gate.
 
 The ``fuzz`` subcommand is the verification layer (``repro.verify``):
 ``fuzz run`` generates seeded hostile cases and runs each through the
@@ -47,11 +47,11 @@ the kernel counters of a traced run in the bench report.
 
 Examples::
 
-    python -m repro --workload tpcc --scheduler strex --cores 4
-    python -m repro --workload tpce --sweep --transactions 80
-    python -m repro --workload tpcc --scheduler base --prefetcher pif
     python -m repro sweep --workloads tpcc tpce --schedulers base strex \\
         --cores 2 4 8 --jobs 4
+    python -m repro sweep --workloads tpce --schedulers base strex slicc \\
+        hybrid --cores 2 4 8 16 --transactions 80
+    python -m repro sweep --workloads tpcc --prefetchers none pif
     python -m repro sweep --workloads tpcc --team-sizes 4 8 16 \\
         --schedulers strex --no-cache
     python -m repro sweep --workloads tpcc --schedulers strex \\
@@ -76,7 +76,8 @@ Examples::
         --rel-tol 0.01 --markdown
     python -m repro diff --reference --workloads tpcc --schedulers \\
         base strex --cores 2 --scales tiny
-    python -m repro diff --audit old/.cache new/.cache --strict
+    python -m repro diff old/.cache/audit/fig5.jsonl \\
+        new/.cache/audit/fig5.jsonl
     python -m repro fuzz run --cases 50 --seed 7
     python -m repro fuzz run --cases 200 --schedulers strex \\
         --save-failures fuzz-failures --time-budget 60
@@ -91,6 +92,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -98,7 +100,7 @@ from pathlib import Path
 from typing import List, Tuple
 
 from repro.analysis.report import format_table
-from repro.config import SCALES, default_scale, paper_scale
+from repro.config import SCALES
 from repro.exp import (
     Manifest,
     ResultCache,
@@ -106,7 +108,6 @@ from repro.exp import (
     ShardSpec,
     SweepSpec,
     Tolerance,
-    audit_diff,
     check_baseline,
     diff_manifests,
     merge_caches,
@@ -117,94 +118,10 @@ from repro.exp import (
     summarize_entries,
     update_baseline,
 )
-from repro.sim.api import PREFETCHERS, SCHEDULERS, simulate
+from repro.sim.api import PREFETCHERS, SCHEDULERS
 from repro.workloads import WORKLOADS
 
 DEFAULT_CACHE_DIR = Path("benchmarks/out/.cache")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="STREX (ISCA 2013) reproduction: simulate OLTP "
-                    "workloads under conventional, STREX, SLICC, or "
-                    "hybrid scheduling.",
-        epilog=f"commands: {', '.join(sorted(COMMANDS))}.  Run "
-               "'python -m repro COMMAND --help' for each; without a "
-               "command, the options above run one simulation, or a "
-               "core sweep with --sweep.",
-    )
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        default="tpcc")
-    parser.add_argument("--scheduler", choices=sorted(SCHEDULERS),
-                        default="strex")
-    parser.add_argument("--prefetcher", choices=sorted(PREFETCHERS),
-                        default="none")
-    parser.add_argument("--cores", type=int, default=4)
-    parser.add_argument("--transactions", type=int, default=60)
-    parser.add_argument("--team-size", type=int, default=None,
-                        help="STREX team size override")
-    parser.add_argument("--seed", type=int, default=1013)
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="use the full Table 2 system "
-                             "(32 KiB L1s) instead of the scaled one")
-    parser.add_argument("--sweep", action="store_true",
-                        help="sweep 2/4/8/16 cores over all schedulers")
-    return parser
-
-
-def _config(args, cores: int):
-    factory = paper_scale if args.paper_scale else default_scale
-    return factory(num_cores=cores)
-
-
-def run_single(args) -> str:
-    """One run; returns the printed report."""
-    if args.team_size is not None and args.scheduler not in ("strex",
-                                                             "hybrid"):
-        raise ValueError(
-            "--team-size only applies to the 'strex' and 'hybrid' "
-            f"schedulers, not {args.scheduler!r}"
-        )
-    config = _config(args, args.cores)
-    workload = WORKLOADS[args.workload](config.l1i_blocks, args.seed)
-    traces = workload.generate_mix(args.transactions, seed=args.seed)
-    base = simulate(config, traces, "base", workload.name)
-    run = simulate(config, traces, args.scheduler, workload.name,
-                   prefetcher=args.prefetcher,
-                   team_size=args.team_size) \
-        if (args.scheduler, args.prefetcher) != ("base", "none") else base
-    rows = [
-        ["workload", workload.name],
-        ["scheduler", run.scheduler],
-        ["cores", args.cores],
-        ["transactions", run.transactions],
-        ["instructions", run.instructions],
-        ["I-MPKI", round(run.i_mpki, 2)],
-        ["D-MPKI", round(run.d_mpki, 2)],
-        ["throughput (txn/Mcyc)", round(run.throughput, 2)],
-        ["vs baseline", f"x{run.relative_throughput(base):.3f}"],
-    ]
-    return format_table(["metric", "value"], rows)
-
-
-def run_sweep(args) -> str:
-    """Core sweep over all schedulers; returns the printed table."""
-    rows: List[List[object]] = []
-    for cores in (2, 4, 8, 16):
-        config = _config(args, cores)
-        workload = WORKLOADS[args.workload](config.l1i_blocks, args.seed)
-        traces = workload.generate_mix(args.transactions,
-                                       seed=args.seed)
-        base = simulate(config, traces, "base", workload.name)
-        row: List[object] = [cores, round(base.i_mpki, 2)]
-        for scheduler in ("strex", "slicc", "hybrid"):
-            run = simulate(config, traces, scheduler, workload.name)
-            row.append(round(run.relative_throughput(base), 3))
-        rows.append(row)
-    return format_table(
-        ["cores", "base I-MPKI", "strex", "slicc", "hybrid"], rows)
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -296,6 +213,16 @@ def run_exp_sweep(argv: List[str]) -> Tuple[str, int]:
                 segments += [f"{k}={v}" for k, v in overrides]
         return ",".join(segments) or "-"
 
+    by_spec = dict(zip(specs, results))
+
+    def vs_base(spec, run) -> str:
+        base = by_spec.get(dataclasses.replace(
+            spec, scheduler="base", prefetcher="none", team_size=None,
+            strex_overrides=None, hybrid_overrides=None))
+        if base is None:
+            return "-"
+        return f"x{run.relative_throughput(base):.3f}"
+
     with_overrides = any(override_label(spec) != "-" for spec in specs)
     rows = []
     for spec, run in zip(specs, results):
@@ -313,12 +240,13 @@ def run_exp_sweep(argv: List[str]) -> Tuple[str, int]:
             round(run.i_mpki, 2),
             round(run.d_mpki, 2),
             round(run.throughput, 2),
+            vs_base(spec, run),
         ]
         rows.append(row)
     headers = ["workload", "scale", "cores", "scheduler", "team"]
     if with_overrides:
         headers.append("overrides")
-    headers += ["seed", "I-MPKI", "D-MPKI", "thr (txn/Mcyc)"]
+    headers += ["seed", "I-MPKI", "D-MPKI", "thr (txn/Mcyc)", "vs base"]
     table = format_table(headers, rows)
     summary = (
         f"{len(results)} runs: {runner.hits} cache hits, "
@@ -517,17 +445,11 @@ def build_diff_parser() -> argparse.ArgumentParser:
     output.add_argument("--markdown", action="store_true",
                         help="emit GitHub-flavored markdown (for PR "
                              "comments)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--reference", action="store_true",
-                      help="diff the fast kernel against the "
-                           "reference kernel on the grid flags "
-                           "below (byte-equality; tolerances do not "
-                           "apply)")
-    mode.add_argument("--audit", action="store_true",
-                      help="treat A and B as audit directories "
-                           "(<cache>/audit with one <fig>.jsonl per "
-                           "bench) and print a per-figure drift "
-                           "dashboard")
+    parser.add_argument("--reference", action="store_true",
+                        help="diff the fast kernel against the "
+                             "reference kernel on the grid flags "
+                             "below (byte-equality; tolerances do not "
+                             "apply)")
     _add_grid_arguments(parser)
     return parser
 
@@ -540,18 +462,10 @@ def run_diff(argv: List[str]) -> Tuple[str, int]:
             raise ValueError(
                 "--reference takes grid flags, not manifest paths")
         report = reference_diff(_grid_sweep(args).expand())
-    elif args.audit:
-        if args.a is None or args.b is None:
-            raise ValueError(
-                "diff --audit needs two audit (or cache) directories")
-        report = audit_diff(
-            args.a, args.b,
-            tolerance=Tolerance(abs_tol=args.abs_tol,
-                                rel_tol=args.rel_tol))
     else:
         if args.a is None or args.b is None:
             raise ValueError(
-                "diff needs two manifests (or --reference/--audit)")
+                "diff needs two manifests (or --reference)")
         report = diff_manifests(
             _manifest_path(args.a), _manifest_path(args.b),
             cache_a=args.cache_a, cache_b=args.cache_b,
@@ -917,22 +831,32 @@ COMMANDS = {
 }
 
 
+def build_main_parser() -> argparse.ArgumentParser:
+    """The top-level parser: ``--help`` and usage errors."""
+    return argparse.ArgumentParser(
+        prog="repro",
+        usage="%(prog)s COMMAND [ARGS ...]",
+        description="STREX (ISCA 2013) reproduction: simulate OLTP "
+                    "workloads under conventional, STREX, SLICC, or "
+                    "hybrid scheduling.",
+        epilog=f"commands: {', '.join(sorted(COMMANDS))}.  Run "
+               "'python -m repro COMMAND --help' for each.",
+    )
+
+
 def main(argv=None) -> int:
     """CLI entry point."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        parser = build_main_parser()
+        if argv and argv[0].startswith("-"):
+            # --help prints the commands; any other flag is an error.
+            parser.parse_args(argv)
+        word = f"unknown command {argv[0]!r}" if argv else "no command"
+        parser.error(f"{word}; choose from {', '.join(sorted(COMMANDS))}")
     try:
-        command = COMMANDS.get(argv[0]) if argv else None
-        if command is not None:
-            text, code = command(argv[1:])
-        else:
-            # No subcommand: the flag-only single run / core sweep.
-            parser = build_parser()
-            if argv and not argv[0].startswith("-"):
-                parser.error(f"unknown command {argv[0]!r}; choose from "
-                             f"{', '.join(sorted(COMMANDS))}")
-            args = parser.parse_args(argv)
-            text = run_sweep(args) if args.sweep else run_single(args)
-            code = 0
+        text, code = command(argv[1:])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,13 +24,12 @@ key, :func:`run_shard` executes one slice into a private directory,
 and :func:`merge_caches` unions shard caches conflict-safely
 (``repro shard --shard I/N`` and ``--merge`` on the command line).
 
-:mod:`repro.exp.diff` and :mod:`repro.exp.baseline` are ``repro.audit``
-— the auditing layer over the whole pipeline: ``repro diff`` aligns
-two sweeps by spec identity and reports per-metric drift,
-``repro diff --reference`` cross-checks the fast and reference
-kernels byte-for-byte, and ``repro baseline pin|check|update``
-maintains committed metric snapshots that give CI a cell-level
-regression gate.
+The audit layer (:mod:`repro.exp.diff`, :mod:`repro.exp.baseline`)
+sits over the whole pipeline: ``repro diff`` aligns two sweeps by spec
+identity and reports per-metric drift, ``repro diff --reference``
+cross-checks the fast and reference kernels byte-for-byte, and
+``repro baseline pin|check|update`` maintains committed metric
+snapshots that give CI a cell-level regression gate.
 """
 
 from repro.exp.baseline import (
@@ -52,14 +51,11 @@ from repro.exp.cache import (
     spec_key,
 )
 from repro.exp.diff import (
-    AuditFigure,
-    AuditReport,
     Cell,
     CellDiff,
     DiffReport,
     MetricDelta,
     Tolerance,
-    audit_diff,
     diff_cells,
     diff_manifests,
     manifest_cells,
@@ -83,15 +79,12 @@ from repro.exp.shard import (
     ShardMergeConflict,
     ShardRun,
     merge_caches,
-    partition,
     run_shard,
     shard_root,
 )
 from repro.exp.spec import MODES, RunSpec, ShardSpec, SweepSpec
 
 __all__ = [
-    "AuditFigure",
-    "AuditReport",
     "BASELINE_SCHEMA",
     "Baseline",
     "BaselineError",
@@ -117,7 +110,6 @@ __all__ = [
     "SimTimeoutError",
     "SweepSpec",
     "Tolerance",
-    "audit_diff",
     "check_baseline",
     "code_fingerprint",
     "diff_cells",
@@ -126,7 +118,6 @@ __all__ = [
     "manifest_cells",
     "merge_caches",
     "metric_vector",
-    "partition",
     "pin_baseline",
     "snapshot_cells",
     "reference_diff",

@@ -112,7 +112,8 @@ def spec_key(spec: RunSpec) -> str:
 
 
 def spec_identity(spec: RunSpec) -> str:
-    """The version-independent *identity* of a cell (``repro.audit``).
+    """The version-independent *identity* of a cell (the audit layer,
+    :mod:`repro.exp.diff` and :mod:`repro.exp.baseline`).
 
     Two runs of "the same experiment" under different simulator
     versions have different cache keys (the key folds in the source

@@ -431,151 +431,6 @@ def diff_manifests(manifest_a: Union[Path, str],
     )
 
 
-@dataclass(frozen=True)
-class AuditFigure:
-    """One figure's pairing between two audit directories."""
-
-    name: str
-    status: str  # "ok" | "drift" | "only-a" | "only-b"
-    report: Optional[DiffReport] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "report": None if self.report is None
-            else self.report.to_dict(),
-        }
-
-
-@dataclass
-class AuditReport:
-    """Per-figure drift summary between two checkouts' audit dirs.
-
-    The figure-level dashboard (``repro diff --audit``): every bench
-    writes a per-figure manifest to ``<cache>/audit/<fig>.jsonl``, so
-    walking two such directories and diffing the pairs summarizes a
-    whole release's drift in one table.  A figure present on only one
-    side is reported (``only-a``/``only-b``) and fails under
-    ``strict`` -- a silently dropped figure is as suspicious as a
-    moved metric.
-    """
-
-    figures: List[AuditFigure] = field(default_factory=list)
-    tolerance: Tolerance = field(default_factory=Tolerance)
-
-    def ok(self, strict: bool = False) -> bool:
-        for figure in self.figures:
-            if figure.status == "drift":
-                return False
-            if strict and figure.status in ("only-a", "only-b"):
-                return False
-            if figure.report is not None \
-                    and not figure.report.ok(strict):
-                return False
-        return True
-
-    def exit_code(self, strict: bool = False) -> int:
-        return 0 if self.ok(strict) else 1
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok(),
-            "tolerance": {"abs_tol": self.tolerance.abs_tol,
-                          "rel_tol": self.tolerance.rel_tol},
-            "figures": [figure.to_dict() for figure in self.figures],
-        }
-
-    def _rows(self) -> List[List[object]]:
-        rows: List[List[object]] = []
-        for figure in self.figures:
-            if figure.report is None:
-                rows.append([figure.name, "-", "-", "-", "-", "-",
-                             figure.status])
-                continue
-            counts = figure.report.counts
-            rows.append([
-                figure.name,
-                len(figure.report.cells),
-                counts["identical"],
-                counts["changed"],
-                counts["missing"],
-                counts["added"] + counts["removed"],
-                figure.status,
-            ])
-        return rows
-
-    _HEADERS = ["figure", "cells", "identical", "changed", "missing",
-                "added/removed", "verdict"]
-
-    def format_text(self) -> str:
-        from repro.analysis.report import format_table
-
-        verdict = "OK" if self.ok() else "DRIFT"
-        lines = [f"{len(self.figures)} figure(s): {verdict}",
-                 "",
-                 format_table(self._HEADERS, self._rows())]
-        for figure in self.figures:
-            if figure.status == "drift" and figure.report is not None:
-                lines.append("")
-                lines.append(f"--- {figure.name} ---")
-                lines.append(figure.report.format_text())
-        return "\n".join(lines)
-
-    def format_markdown(self) -> str:
-        verdict = "OK" if self.ok() else "DRIFT"
-        lines = [f"**{len(self.figures)} figure(s): {verdict}**", "",
-                 "| " + " | ".join(self._HEADERS) + " |",
-                 "| " + " | ".join("---" for _ in self._HEADERS) + " |"]
-        for row in self._rows():
-            lines.append("| " + " | ".join(str(v) for v in row) + " |")
-        for figure in self.figures:
-            if figure.status == "drift" and figure.report is not None:
-                lines.append("")
-                lines.append(f"### {figure.name}")
-                lines.append(figure.report.format_markdown())
-        return "\n".join(lines)
-
-
-def _audit_dir(root: Union[Path, str]) -> Path:
-    """Resolve a cache directory or audit directory to the latter."""
-    root = Path(root)
-    if root.name == "audit":
-        return root
-    if (root / "audit").is_dir():
-        return root / "audit"
-    return root
-
-
-def audit_diff(a_dir: Union[Path, str], b_dir: Union[Path, str],
-               tolerance: Optional[Tolerance] = None) -> AuditReport:
-    """Walk two audit directories and diff every paired figure.
-
-    Accepts cache roots (``.../.cache``) or their ``audit/``
-    subdirectories; figures pair by manifest filename stem.  Each
-    pair goes through :func:`diff_manifests` (cache roots are
-    resolved per side by :func:`manifest_cells`' audit-layout rule).
-    """
-    tolerance = tolerance or Tolerance()
-    audit_a = _audit_dir(a_dir)
-    audit_b = _audit_dir(b_dir)
-    names_a = {p.stem: p for p in sorted(audit_a.glob("*.jsonl"))}
-    names_b = {p.stem: p for p in sorted(audit_b.glob("*.jsonl"))}
-    report = AuditReport(tolerance=tolerance)
-    for name in sorted(set(names_a) | set(names_b)):
-        if name not in names_b:
-            report.figures.append(AuditFigure(name, "only-a"))
-            continue
-        if name not in names_a:
-            report.figures.append(AuditFigure(name, "only-b"))
-            continue
-        pair = diff_manifests(names_a[name], names_b[name],
-                              tolerance=tolerance)
-        status = "ok" if pair.ok() else "drift"
-        report.figures.append(AuditFigure(name, status, report=pair))
-    return report
-
-
 def reference_diff(specs: Sequence[RunSpec]) -> DiffReport:
     """Run specs through the fast *and* reference kernels and compare.
 

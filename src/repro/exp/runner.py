@@ -236,8 +236,8 @@ class Runner:
         cache: result cache, or ``None`` to disable caching entirely.
         manifest: run manifest, or ``None`` to skip manifest logging.
             Defaults to ``manifest.jsonl`` inside the cache root.
-        timeout: per-run wall-clock budget in seconds (``None`` = no
-            limit).
+        timeout: per-run wall-clock budget in seconds, positive
+            (``None`` = no limit).
         retries: extra attempts after a *transient* failure.
         shard: hash-range slice of the sweep to execute
             (:class:`~repro.exp.spec.ShardSpec`), or ``None`` for the
@@ -266,6 +266,8 @@ class Runner:
     ):
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
         self.jobs = max(1, int(jobs))
         self.cache = cache
         if manifest is None and cache is not None:

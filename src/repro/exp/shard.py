@@ -30,10 +30,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.exp.cache import ResultCache, spec_key
+from repro.exp.cache import ResultCache
 from repro.exp.manifest import Manifest
 from repro.exp.runner import Runner
 from repro.exp.spec import RunSpec, ShardSpec, SweepSpec
@@ -76,22 +76,6 @@ def shard_root(cache_dir: Union[Path, str], shard: ShardSpec) -> Path:
     cache never globs shard-private entries by accident.
     """
     return Path(cache_dir) / "shards" / f"{shard.index}-of-{shard.count}"
-
-
-def partition(specs: Sequence[RunSpec], count: int
-              ) -> Tuple[List[str], Dict[int, List[int]]]:
-    """Keys and the shard partition of a spec list.
-
-    Returns ``(keys, by_shard)`` where ``keys`` aligns with ``specs``
-    and ``by_shard[i]`` lists the spec indices shard ``i`` owns.  Every
-    index lands in exactly one shard (the partition property
-    ``tests/test_properties.py`` pins).
-    """
-    keys = [spec_key(spec) for spec in specs]
-    by_shard: Dict[int, List[int]] = {i: [] for i in range(count)}
-    for idx, key in enumerate(keys):
-        by_shard[ShardSpec.assign(key, count)].append(idx)
-    return keys, by_shard
 
 
 # ---------------------------------------------------------------------

@@ -1,14 +1,12 @@
-"""Instruction prefetchers: next-line, idealized PIF, TIFS-lite."""
+"""Instruction prefetchers: next-line and idealized PIF."""
 
 from repro.prefetch.base import InstructionPrefetcher, NoPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.pif import PifIdealPrefetcher
-from repro.prefetch.tifs import TifsPrefetcher
 
 __all__ = [
     "InstructionPrefetcher",
     "NoPrefetcher",
     "NextLinePrefetcher",
     "PifIdealPrefetcher",
-    "TifsPrefetcher",
 ]

@@ -7,8 +7,8 @@ generate L2 traffic -- this mirrors how the paper models PIF ("demand
 traffic is generated for cache blocks that would have otherwise missed")
 -- but they do not stall the core.
 
-Concrete implementations live in :mod:`repro.prefetch.nextline`,
-:mod:`repro.prefetch.pif` and :mod:`repro.prefetch.tifs`.
+Concrete implementations live in :mod:`repro.prefetch.nextline` and
+:mod:`repro.prefetch.pif`.
 """
 
 from __future__ import annotations

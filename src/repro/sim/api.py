@@ -15,7 +15,6 @@ from repro.config import SystemConfig
 from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.pif import PifIdealPrefetcher
-from repro.prefetch.tifs import TifsPrefetcher
 from repro.sched.base import BaselineScheduler
 from repro.sched.hybrid import HybridScheduler
 from repro.sched.slicc import SliccScheduler
@@ -37,7 +36,6 @@ PREFETCHERS: Dict[str, Callable] = {
     "none": NoPrefetcher,
     "nextline": NextLinePrefetcher,
     "pif": PifIdealPrefetcher,
-    "tifs": TifsPrefetcher,
 }
 
 
@@ -125,7 +123,7 @@ def simulate(
         traces: transaction traces in arrival order.
         scheduler: one of ``base``, ``strex``, ``slicc``, ``hybrid``.
         workload_name: label recorded in the result.
-        prefetcher: one of ``none``, ``nextline``, ``pif``, ``tifs``.
+        prefetcher: one of ``none``, ``nextline``, ``pif``.
         team_size: optional STREX team-size override (Fig. 7/8 sweeps).
             Only meaningful for the ``strex`` and ``hybrid`` schedulers
             (the hybrid forwards it to its STREX delegate); passing it

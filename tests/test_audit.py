@@ -1,6 +1,7 @@
-"""Tests for the repro.audit layer: spec identity, metric vectors,
-result diffing (``repro diff``), pinned baselines (``repro baseline``),
-the reference-kernel diff, and the kernel perf gate.
+"""Tests for the audit layer (``repro.exp.diff``, ``repro.exp.baseline``):
+spec identity, metric vectors, result diffing (``repro diff``), pinned
+baselines (``repro baseline``), the reference-kernel diff, and the
+kernel perf gate.
 
 The contract under test is the one DESIGN.md decision 14 records:
 cells align by *spec identity* (the spec's own fields, never the code
@@ -27,7 +28,6 @@ from repro.exp import (
     RunSpec,
     SweepSpec,
     Tolerance,
-    audit_diff,
     check_baseline,
     diff_cells,
     diff_manifests,
@@ -626,101 +626,3 @@ class TestDiffReportShape:
         assert report.ok(strict=True)
         assert report.exit_code() == 0
         assert "0 cell(s)" in report.format_text()
-
-
-def audit_into(root, figures) -> None:
-    """Run each figure's sweep into one cache at ``root`` and record
-    it as ``<root>/audit/<fig>.jsonl`` (the per-bench layout)."""
-    for fig, sweep in figures.items():
-        runner = Runner(cache=ResultCache(root))
-        runner.run(sweep)
-        audit = Manifest(root / "audit" / f"{fig}.jsonl")
-        for entry in runner.entries:
-            audit.record(entry)
-
-
-class TestAuditDiff:
-    FIGURES = {
-        "fig6_mpki": dict(schedulers=("base", "strex")),
-        "fig9_slicc": dict(schedulers=("slicc",)),
-    }
-
-    def build(self, root):
-        audit_into(root, {fig: tiny_sweep(**overrides)
-                          for fig, overrides in self.FIGURES.items()})
-
-    def test_identical_checkouts_audit_clean(self, tmp_path):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        report = audit_diff(tmp_path / "a", tmp_path / "b")
-        assert [f.name for f in report.figures] == \
-            sorted(self.FIGURES)
-        assert all(f.status == "ok" for f in report.figures)
-        assert report.exit_code(strict=True) == 0
-        assert "OK" in report.format_text()
-
-    def test_drifted_figure_is_named_others_stay_ok(self, tmp_path):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        spec = tiny_sweep(**self.FIGURES["fig6_mpki"]).expand()[0]
-        perturb_entry(tmp_path / "b", spec_key(spec))
-        report = audit_diff(tmp_path / "a", tmp_path / "b")
-        status = {f.name: f.status for f in report.figures}
-        assert status == {"fig6_mpki": "drift", "fig9_slicc": "ok"}
-        assert report.exit_code() == 1
-        text = report.format_text()
-        assert "DRIFT" in text
-        assert "fig6_mpki" in text
-        assert "cycles" in text  # the drifted metric is detailed
-
-    def test_unpaired_figure_fails_only_under_strict(self, tmp_path):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        (tmp_path / "b" / "audit" / "fig9_slicc.jsonl").unlink()
-        report = audit_diff(tmp_path / "a", tmp_path / "b")
-        status = {f.name: f.status for f in report.figures}
-        assert status["fig9_slicc"] == "only-a"
-        assert report.exit_code(strict=False) == 0
-        assert report.exit_code(strict=True) == 1
-
-    def test_accepts_cache_roots_or_audit_dirs(self, tmp_path):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        via_roots = audit_diff(tmp_path / "a", tmp_path / "b")
-        via_audit = audit_diff(tmp_path / "a" / "audit",
-                               tmp_path / "b" / "audit")
-        assert via_roots.to_dict() == via_audit.to_dict()
-
-    def test_tolerance_absorbs_small_drift(self, tmp_path):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        spec = tiny_sweep(**self.FIGURES["fig6_mpki"]).expand()[0]
-        perturb_entry(tmp_path / "b", spec_key(spec), bump=1)
-        assert audit_diff(tmp_path / "a",
-                          tmp_path / "b").exit_code() == 1
-        loose = audit_diff(tmp_path / "a", tmp_path / "b",
-                           tolerance=Tolerance(abs_tol=2.0))
-        assert loose.exit_code(strict=True) == 0
-
-    def test_cli_dashboard_and_exit_codes(self, tmp_path, capsys):
-        self.build(tmp_path / "a")
-        self.build(tmp_path / "b")
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["diff", "--audit", a, b]) == 0
-        out = capsys.readouterr().out
-        assert "figure" in out and "verdict" in out
-
-        spec = tiny_sweep(**self.FIGURES["fig6_mpki"]).expand()[0]
-        perturb_entry(tmp_path / "b", spec_key(spec))
-        assert main(["diff", "--audit", a, b]) == 1
-        assert "fig6_mpki" in capsys.readouterr().out
-
-        assert main(["diff", "--audit", a, b, "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["ok"] is False
-        assert {f["name"] for f in data["figures"]} == \
-            set(self.FIGURES)
-
-    def test_cli_audit_needs_both_directories(self, capsys, tmp_path):
-        assert main(["diff", "--audit", str(tmp_path)]) == 2
-        assert "--audit needs two" in capsys.readouterr().err

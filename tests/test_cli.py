@@ -4,101 +4,63 @@ import pytest
 
 from repro.__main__ import (
     COMMANDS,
-    build_parser,
     build_shard_parser,
     build_sweep_parser,
     main,
-    run_single,
 )
-
-
-class TestParser:
-    def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.workload == "tpcc"
-        assert args.scheduler == "strex"
-        assert args.cores == 4
-
-    def test_rejects_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--workload", "tpch"])
-
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--scheduler", "zeus"])
-
-
-class TestExecution:
-    def test_single_run_prints_metrics(self, capsys):
-        code = main([
-            "--workload", "tpcc", "--scheduler", "strex",
-            "--cores", "2", "--transactions", "8", "--seed", "5",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "I-MPKI" in out
-        assert "vs baseline" in out
-
-    def test_baseline_run(self, capsys):
-        code = main([
-            "--workload", "mapreduce", "--scheduler", "base",
-            "--cores", "2", "--transactions", "4", "--seed", "5",
-        ])
-        assert code == 0
-        assert "x1.000" in capsys.readouterr().out
-
-    def test_run_single_report(self):
-        args = build_parser().parse_args([
-            "--workload", "tpce", "--scheduler", "slicc",
-            "--cores", "2", "--transactions", "6", "--seed", "9",
-        ])
-        report = run_single(args)
-        assert "slicc" in report
-        assert "throughput" in report
-
-    def test_team_size_flag(self, capsys):
-        code = main([
-            "--scheduler", "strex", "--team-size", "4",
-            "--cores", "2", "--transactions", "8", "--seed", "5",
-        ])
-        assert code == 0
-
-    def test_team_size_with_wrong_scheduler_is_clean_error(self, capsys):
-        code = main([
-            "--workload", "tpcc", "--scheduler", "smt",
-            "--team-size", "4", "--cores", "2", "--transactions", "4",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: --team-size")
-        assert "smt" in captured.err
-
-    def test_team_size_with_base_is_clean_error(self, capsys):
-        # ``base`` short-circuits the second simulate() call, so the
-        # CLI must validate --team-size before that shortcut.
-        code = main([
-            "--workload", "tpcc", "--scheduler", "base",
-            "--team-size", "4", "--cores", "2", "--transactions", "4",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "base" in captured.err
-
-    def test_core_sweep_flag(self, capsys):
-        code = main([
-            "--workload", "mapreduce", "--sweep",
-            "--transactions", "4", "--seed", "5",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        for token in ("cores", "strex", "slicc", "hybrid", "16"):
-            assert token in out
+from repro.exp import Runner, RunSpec
 
 
 class TestSweepSubcommand:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_sweep_parser().parse_args(["--workloads", "tpch"])
+
+    def test_rejects_unknown_scheduler(self):
+        with pytest.raises(SystemExit):
+            build_sweep_parser().parse_args(["--schedulers", "zeus"])
+
+    def test_rejects_unknown_prefetcher(self):
+        with pytest.raises(SystemExit):
+            build_sweep_parser().parse_args(["--prefetchers", "stride"])
+
+    def test_nonpositive_timeout_is_clean_error(self, capsys, tmp_path):
+        code = main([
+            "sweep", "--workloads", "tpcc", "--schedulers", "base",
+            "--cores", "2", "--transactions", "4", "--scales", "tiny",
+            "--cache-dir", str(tmp_path), "--timeout", "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: timeout must be positive\n"
+
+    @staticmethod
+    def vs_base_column(out: str) -> dict:
+        """``(cores, scheduler) -> vs base`` cell of a sweep table."""
+        header, _, *rows, _ = out.splitlines()
+        assert header.endswith("vs base")
+        cores = header.split().index("cores")
+        return {(int(row.split()[cores]), row.split()[cores + 1]):
+                row.split()[-1] for row in rows}
+
+    def test_vs_base_column(self, capsys, tmp_path):
+        grid = ["--workloads", "tpcc", "--cores", "2", "--transactions",
+                "4", "--scales", "tiny", "--cache-dir", str(tmp_path)]
+        assert main(["sweep", "--schedulers", "base", "strex"]
+                    + grid) == 0
+        column = self.vs_base_column(capsys.readouterr().out)
+        base, strex = Runner().run([
+            RunSpec(workload="tpcc", scheduler=scheduler, cores=2,
+                    transactions=4, scale="tiny")
+            for scheduler in ("base", "strex")])
+        assert column == {
+            (2, "base"): "x1.000",
+            (2, "strex"): f"x{strex.relative_throughput(base):.3f}",
+        }
+        # A grid with no base cell has nothing to normalize against.
+        assert main(["sweep", "--schedulers", "strex"] + grid) == 0
+        assert self.vs_base_column(capsys.readouterr().out) == \
+            {(2, "strex"): "-"}
 
     def test_sweep_runs_and_reports_cache_stats(self, capsys, tmp_path):
         argv = [
@@ -177,6 +139,21 @@ class TestShardSubcommand:
 
 
 class TestDispatch:
+    def test_no_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(
+            "error: no command; choose from "
+            + ", ".join(sorted(COMMANDS)))
+
+    def test_retired_flag_only_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workload", "tpcc", "--scheduler", "strex"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_reaches_the_commands_own_parser(self, command,
                                                   capsys):

@@ -319,6 +319,13 @@ class TestRunner:
         with pytest.raises(ValueError, match="retries"):
             Runner(retries=-1)
 
+    @pytest.mark.parametrize("timeout", [0, -5])
+    def test_rejects_nonpositive_timeout(self, timeout):
+        # setitimer(0) would disarm the budget and a negative one fails
+        # every attempt; both are refused up front.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            Runner(timeout=timeout)
+
 
 class TestExecuteSpec:
     def test_team_size_reaches_the_scheduler(self):

@@ -27,7 +27,6 @@ from repro.obs import TRACE_ENV
 from repro.perf import run_bench
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.pif import PifIdealPrefetcher
-from repro.prefetch.tifs import TifsPrefetcher
 from repro.sched.base import BaselineScheduler
 from repro.sched.strex import StrexScheduler
 from repro.sim.api import SCHEDULERS, simulate
@@ -96,7 +95,7 @@ class TestOtherShapes:
         _assert_parity(config, traces, "base", "tpcc",
                        prefetcher="nextline")
         _assert_parity(config, traces, "strex", "tpcc",
-                       prefetcher="tifs")
+                       prefetcher="pif")
 
     def test_non_power_of_two_cores(self):
         # 3 cores: non-square torus and modulo home-slice mapping.
@@ -204,8 +203,7 @@ def _assert_state_parity(config, scheduler, prefetcher) -> None:
     assert all(cache.stats.evictions for cache in hier.l1i + hier.l2)
 
 
-PREFETCHERS = (None, NextLinePrefetcher, PifIdealPrefetcher,
-               TifsPrefetcher)
+PREFETCHERS = (None, NextLinePrefetcher, PifIdealPrefetcher)
 
 
 class TestGeneralLoopCacheState:

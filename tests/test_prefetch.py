@@ -4,7 +4,6 @@ from repro.config import tiny_scale
 from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.pif import PifIdealPrefetcher
-from repro.prefetch.tifs import TifsPrefetcher
 from repro.sim.api import simulate
 from repro.trace.trace import TraceBuilder
 
@@ -108,41 +107,3 @@ class TestPifIdeal:
         strex = simulate(config, traces, "strex")
         ratio = pif.cycles / strex.cycles
         assert 0.8 < ratio < 1.2, ratio
-
-
-class TestTifs:
-    def test_replays_recorded_stream(self):
-        prefetcher = TifsPrefetcher(1, stream_length=4)
-        stream = [100, 205, 317, 428, 533]
-        for block in stream:
-            prefetcher.on_fetch(0, block, False)
-        # Re-encounter the head: the recorded successors are armed.
-        prefetcher.on_fetch(0, 100, False)
-        assert prefetcher.covers(0, 205)
-        assert prefetcher.covers(0, 533)
-
-    def test_no_coverage_on_first_pass(self):
-        prefetcher = TifsPrefetcher(1)
-        prefetcher.on_fetch(0, 100, False)
-        assert not prefetcher.covers(0, 205)
-
-    def test_hits_do_not_pollute_history(self):
-        prefetcher = TifsPrefetcher(1)
-        prefetcher.on_fetch(0, 100, True)
-        assert 100 not in prefetcher._history[0]
-
-    def test_history_bounded(self):
-        prefetcher = TifsPrefetcher(1, history_heads=16)
-        for block in range(100):
-            prefetcher.on_fetch(0, block * 7, False)
-        assert len(prefetcher._history[0]) <= 16
-
-    def test_covers_looping_code(self):
-        """Second iteration of a loop is covered once recorded."""
-        prefetcher = TifsPrefetcher(1, stream_length=8)
-        loop = [100, 220, 340, 460]
-        for _ in range(2):
-            for block in loop:
-                prefetcher.on_fetch(0, block, False)
-        covered = sum(prefetcher.covers(0, b) for b in loop[1:])
-        assert covered >= 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
 from repro.config import CacheConfig, MemoryConfig, NocConfig, tiny_scale
-from repro.exp import ShardSpec, SweepSpec, partition, spec_key
+from repro.exp import ShardSpec, SweepSpec, spec_key
 from repro.mem.dram import DramModel
 from repro.noc.torus import TorusNetwork, grid_shape
 from repro.sched.base import BaselineScheduler
@@ -152,13 +152,6 @@ def test_shard_assignment_is_a_partition(sweep):
         for key in keys:
             owners = [s.index for s in shards if s.selects(key)]
             assert owners == [ShardSpec.assign(key, count)]
-        _, by_shard = partition(specs, count)
-        indices = sorted(i for owned in by_shard.values()
-                         for i in owned)
-        assert indices == list(range(len(specs)))
-        for shard_index, owned in by_shard.items():
-            for idx in owned:
-                assert ShardSpec(shard_index, count).selects(keys[idx])
 
 
 @given(trace_sets())

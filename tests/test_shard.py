@@ -30,7 +30,6 @@ from repro.exp import (
     SweepSpec,
     execute_spec,
     merge_caches,
-    partition,
     run_shard,
     shard_root,
     spec_key,
@@ -90,14 +89,6 @@ class TestShardSpec:
 
 
 class TestPartition:
-    def test_partition_covers_every_spec_once(self, unsharded):
-        specs, keys, _, _ = unsharded
-        got_keys, by_shard = partition(specs, N)
-        assert got_keys == keys
-        indices = sorted(i for owned in by_shard.values()
-                         for i in owned)
-        assert indices == list(range(len(specs)))
-
     def test_runner_shard_skips_unowned_misses(self, tmp_path,
                                                unsharded):
         specs, keys, _, _ = unsharded
@@ -347,8 +338,8 @@ class TestMergeEdgeCases:
         to do; their (manifest-only) roots must still merge."""
         spec = RunSpec(workload="tpcc", scheduler="base", cores=1,
                        transactions=4, seed=7, scale="tiny")
-        _, assignment = partition([spec], N)
-        idle_index = next(i for i in range(N) if not assignment[i])
+        owner = ShardSpec.assign(spec_key(spec), N)
+        idle_index = next(i for i in range(N) if i != owner)
         shard = ShardSpec(index=idle_index, count=N)
         root = tmp_path / "idle"
         run = run_shard([spec], shard, root)
