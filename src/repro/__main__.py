@@ -700,9 +700,9 @@ def build_perf_parser() -> argparse.ArgumentParser:
                              "functions by total time")
     parser.add_argument("--trace", action="store_true",
                         help="embed the engine's own kernel counters "
-                             "(event/instruction totals, kernel "
-                             "calls, packed-view footprint) in the "
-                             "report as 'kernel_counters'")
+                             "(event/instruction totals and kernel "
+                             "calls) in the report as "
+                             "'kernel_counters'")
     return parser
 
 
@@ -860,7 +860,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro ... | head``).
+        # Point stdout at devnull so the interpreter's exit flush of
+        # what is still buffered stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -195,7 +195,7 @@ class Cache:
     def miss_fill(self, block: int, tag: int, set_index: int) -> None:
         """Demand-miss bookkeeping with a precomputed set index.
 
-        The caller -- :meth:`access`, the general event loop's L2 fill
+        The caller -- :meth:`access`, the fast event loop's L2 fill
         or :meth:`~repro.cache.hierarchy.MemoryHierarchy.access_data`'s
         fill under a policy that does not always insert at MRU --
         already established the block is absent; this charges the miss
@@ -205,7 +205,7 @@ class Cache:
         a full set is filled by one
         :meth:`~repro.cache.replacement.ReplacementPolicy.replace`
         call, which picks the victim and records the insert, before the
-        victim callback fires.  The fills the event loops and
+        victim callback fires.  The fills the fast event loop and
         ``access_data`` inline follow the same steps.
         """
         self.stats.misses += 1

@@ -163,7 +163,7 @@ class MemoryHierarchy:
     def access_data(self, core: int, block: int, write: bool) -> int:
         """Demand data access; returns latency in cycles.
 
-        Flat, as the event loops are: the L1-D probe and fill, the
+        Flat, as the fast event loop is: the L1-D probe and fill, the
         home-slice L2 hit and fill and the dirty-remote forward are
         inlined over the flat layout.  A fill rotates the set's order
         list for policies that always insert at MRU and calls

@@ -17,11 +17,11 @@ victim.  Implemented policies:
 * ``brrip``  -- Bimodal RRIP: inserts with distant RRPV most of the time.
 
 The interface is slot-based (slot = ``set_index * assoc + way``).  A
-hit is never a call: the flat cache and the event loops inline it by
+hit is never a call: the flat cache and the fast event loop inline it by
 the policy's :attr:`~ReplacementPolicy.hit_mode`.  A cold fill goes
 through :meth:`~ReplacementPolicy.insert_slot`, and a full set is
 filled through :meth:`~ReplacementPolicy.replace` (victim choice and
-insert update in one call, which the event loops inline by
+insert update in one call, which the fast event loop inlines by
 :attr:`~ReplacementPolicy.insert_mode`).  Recency policies keep
 each set's stack order as one list of its slots, least recently used
 first: the victim is the list's head, read without a scan, and a hit or
@@ -52,10 +52,10 @@ class ReplacementPolicy:
             list, ``hit_array[slot]``, unless it is there already),
             ``"zero"`` (store 0 into :attr:`hit_array`) or ``"none"``
             (hits do not touch policy state).  Every policy sets one:
-            the flat cache and both event loops inline the hit update;
+            the flat cache and the fast event loop inline the hit update;
             there is no hit method.
         hit_array: the flat per-slot array ``hit_mode`` refers to.
-        insert_mode: how the event loops may inline a full-set fill --
+        insert_mode: how the fast event loop may inline a full-set fill --
             ``"mru"`` (policies that always insert at MRU: rotate the
             set's order list, moving its head, the victim, to the end)
             or ``"call"`` (invoke :meth:`replace`).
@@ -85,7 +85,7 @@ class ReplacementPolicy:
         Exactly :meth:`victim_slot` followed by :meth:`insert_slot` on
         the returned slot -- the same slot, the same policy state and
         the same RNG draws in the same order -- in one call.  This is
-        the one entry point the cache and the general event loop use
+        the one entry point the cache and the fast event loop use
         for a replacement; subclasses override it to inline both steps.
         """
         slot = self.victim_slot(set_index)
@@ -121,7 +121,7 @@ class _StackPolicy(ReplacementPolicy):
 
     promote_on_hit = True
     #: Probability that an insertion lands at MRU rather than LRU: 1
-    #: for LRU/FIFO (the owning cache and the event loops then inline
+    #: for LRU/FIFO (the owning cache and the fast event loop then inline
     #: the insert), 0 for LIP, epsilon for BIP.  Only a fractional
     #: chance draws a random number, one per insertion.
     mru_insert_chance = 1.0

@@ -69,9 +69,8 @@ class RunError(RuntimeError):
 #: schedulers/cores/overrides over few distinct workload settings, so
 #: each worker regenerates the same traces over and over without this.
 #: Bounded LRU.  At default scale a 120-transaction TPC-C-10 mix set
-#: (998,578 events) holds about 55 MB of trace columns, plus about
-#: 52 MB of age-loop views once an age engine has run on it; a TPC-E
-#: set (239,611 events) about 11 MB plus 18 MB.
+#: (998,578 events) holds about 55 MB of trace columns and a TPC-E set
+#: (239,611 events) about 11 MB; a simulation adds nothing per trace.
 _TRACE_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _TRACE_MEMO_MAX = 32
 
@@ -82,9 +81,8 @@ def _workload_traces(spec: RunSpec, l1i_blocks: int) -> Tuple[str, list]:
     Trace generation is a pure function of the key fields (workload
     suite, L1-I geometry, seeds, mode, type, counts), so sharing one
     trace set across a sweep's cells is safe: traces are immutable by
-    convention and the engine's derived-view memos
-    (:meth:`~repro.trace.trace.TransactionTrace.packed_events`) stay
-    warm across cells as a bonus.
+    convention, and each engine walks them through iterators of its
+    own threads.
     """
     mix_seed = spec.effective_mix_seed()
     key = (spec.workload, l1i_blocks, spec.seed, spec.mode,

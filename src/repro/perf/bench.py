@@ -2,14 +2,14 @@
 
 Measures how fast the engine replays trace events on the specialized
 fast path versus the reference implementation, on the *same traces in
-the same process*.  Both paths are warmed first (trace memos, allocator
-state), then timed over interleaved repeats with the minimum wall time
-kept -- the most reproducible statistic on a shared machine.  Before
-any timing is trusted, the two paths' full :class:`RunResult` dicts are
-compared for every timed scheduler; a mismatch raises rather than
-recording a meaningless number.
+the same process*.  Both paths are warmed first (allocator state,
+interpreter caches), then timed over interleaved repeats with the
+minimum wall time kept -- the most reproducible statistic on a shared
+machine.  Before any timing is trusted, the two paths' full
+:class:`RunResult` dicts are compared for every timed scheduler; a
+mismatch raises rather than recording a meaningless number.
 
-Two series are timed: ``fast`` (the cold kernel: the age loop over
+Two series are timed: ``fast`` (the cold kernel: the fast loop over
 the flat cache layout) and ``reference``.
 
 The report is written as JSON (``BENCH_sim.json`` at the repo root by
@@ -65,9 +65,7 @@ def run_bench(
     ``kernel_counters``: the engine's own attribution for one fast run
     -- event/instruction totals and kernel calls -- so a regression
     report arrives with its own diagnosis (did the slices get
-    shorter?), plus the age loop's view footprint: packed events and
-    the distinct tuples they share.  The extra run happens after all
-    timing.
+    shorter?).  The extra run happens after all timing.
     """
     if scale not in SCALES:
         raise ValueError(
@@ -164,8 +162,7 @@ def _traced_kernel_counters(config, traces, workload: str
 
     Harvests the engine's ``sim.run`` span counters through a private
     in-memory tracer (no sink, no effect on any ambient
-    ``REPRO_TRACE``).  ``views`` counts the run's packed events and
-    the distinct tuple objects they hold, once, after the run.
+    ``REPRO_TRACE``).
     """
     tracer = obs.Tracer()
     with obs.use(tracer):
@@ -173,18 +170,10 @@ def _traced_kernel_counters(config, traces, workload: str
     span = next(
         s for s in reversed(tracer.ring) if s.name == "sim.run")
     counters = span.counters
-    views = [trace.packed_events(config.core.base_cpi,
-                                 config.l1i.num_sets)
-             for trace in traces]
     return {
         "events": int(counters.get("events", 0)),
         "instructions": int(counters.get("instructions", 0)),
         "kernel_calls": int(counters.get("kernel_calls", 0)),
-        "views": {
-            "events": sum(len(events) for events in views),
-            "distinct_tuples": len({id(event) for events in views
-                                    for event in events}),
-        },
     }
 
 

@@ -8,7 +8,7 @@ SLICC's migration require (DESIGN.md, decision 2).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.trace.trace import TransactionTrace
 
@@ -20,7 +20,7 @@ class TxnThread:
         "thread_id",
         "trace",
         "n_events",
-        "view",
+        "events",
         "pos",
         "arrival",
         "start_time",
@@ -36,10 +36,11 @@ class TxnThread:
         self.thread_id = thread_id
         self.trace = trace
         self.n_events = len(trace)
-        # The age loop's per-thread kernel view, ``(packed_events,
-        # instruction_prefix)``; bound by the engine at construction
-        # when it runs that loop, else None.
-        self.view: Optional[tuple] = None
+        # The fast loop's cursor: one ``zip`` iterator over the trace's
+        # columns, positioned at ``pos``.  Bound by that loop on its
+        # first slice (reference runs never bind it) and valid only
+        # while it is the only code that advances ``pos``.
+        self.events: Optional[Iterator[tuple]] = None
         self.pos = 0
         self.arrival = arrival
         self.start_time: Optional[int] = None

@@ -15,7 +15,7 @@ This is the finest granularity any mechanism in the paper operates at
 64 B blocks), which keeps pure-Python replay tractable (DESIGN.md,
 decision 1).  Events are stored as four parallel columns of builtin
 ints -- plain Python lists, kept as given without copying -- which the
-simulator's inner loops index directly (builtin ints also keep results
+simulator's event loops read directly (builtin ints also keep results
 JSON-serializable).  Nothing here imports NumPy at module level: only
 the benchmark-only helpers :meth:`TransactionTrace.run_tables` and
 :meth:`TransactionTrace.content_key` use it, and import it themselves.
@@ -49,6 +49,7 @@ class TransactionTrace:
         "dblocks",
         "dwrites",
         "total_instructions",
+        "max_ilen",
         "_unique_iblocks",
         "_packed_events",
         "_set_indices",
@@ -76,10 +77,12 @@ class TransactionTrace:
         self.dblocks = dblocks
         self.dwrites = dwrites
         self.total_instructions = int(sum(ilens))
-        # Lazily-built derived views, shared by every run of a batch:
-        # the distinct-iblock set, packed per-event tuples keyed by
-        # base CPI, L1-I set indices keyed by set count, the
-        # instruction prefix, hit-run tables, and the content digest.
+        # Bounds the engine's per-``ilen`` cycle table.
+        self.max_ilen = max(ilens, default=0)
+        # Lazily-built derived views: the distinct-iblock set, and the
+        # benchmark-only packed per-event tuples keyed by base CPI,
+        # L1-I set indices keyed by set count, instruction prefix,
+        # hit-run tables and content digest.
         self._unique_iblocks: Optional[frozenset] = None
         self._packed_events: dict = {}
         self._set_indices: dict = {}
@@ -148,11 +151,12 @@ class TransactionTrace:
     def packed_events(self, cpi: float, num_sets: int) -> list:
         """``(iblock, icycles, ilen, dblock, dwrite, iset)`` tuples.
 
-        ``icycles`` is ``ilen * cpi`` precomputed with exactly the
-        operands the engine's reference loop uses, so replaying the
-        packed form accumulates bit-identical float cycles; ``iset`` is
-        the L1-I set index of ``iblock`` for the given geometry.  Built
-        once per ``(cpi, num_sets)`` and shared by every run.
+        No simulation path calls it; it stays part of the trace API
+        because ``bench/child.py`` wraps it by name when it times the
+        trace-precompute layer.  ``icycles`` is ``ilen * cpi``, the
+        operands the engine's loops use; ``iset`` is the L1-I set
+        index of ``iblock`` for the given geometry.  Built once per
+        ``(cpi, num_sets)``.
 
         Equal events share one tuple: OLTP transactions revisit the
         same few blocks, so a trace holds far fewer distinct events
@@ -284,7 +288,9 @@ class TransactionTrace:
     def instruction_prefix(self) -> array:
         """Cumulative instruction counts: ``prefix[i]`` is the total
         instructions in events ``[0, i)``, so a slice's instruction
-        count is ``prefix[end] - prefix[start]``.
+        count is ``prefix[end] - prefix[start]``.  No simulation path
+        calls it; it stays for ``bench/child.py``, which wraps it by
+        name.
 
         An ``array('q')``, eight bytes per entry instead of a boxed int;
         indexing it yields builtin ints.  Memoized."""

@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import (
@@ -9,6 +14,8 @@ from repro.__main__ import (
     main,
 )
 from repro.exp import Runner, RunSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSweepSubcommand:
@@ -187,3 +194,23 @@ class TestDispatch:
         assert excinfo.value.code == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "commands: " + ", ".join(sorted(COMMANDS)) + "." in out
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_quiet(self, tmp_path):
+        """``repro ... | head`` where the reader is gone before the
+        report is written: the command keeps its own exit code and
+        prints no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "manifest", "--path",
+                 str(tmp_path / "manifest.jsonl")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)))
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr

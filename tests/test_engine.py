@@ -4,10 +4,8 @@ import pytest
 
 from repro.config import tiny_scale
 from repro.sched.base import BaselineScheduler
-from repro.sim.api import SCHEDULERS
 from repro.sim.engine import SimulationEngine
 from repro.trace.trace import TraceBuilder
-from repro.workloads import WORKLOADS
 
 
 def synthetic_trace(txn_id, blocks, ilen=10, txn_type="S", data=None):
@@ -86,23 +84,6 @@ class TestRunEvents:
         engine = self.make_engine([trace])
         engine.run_events(0, engine.threads[0], 10, tag=42)
         assert engine.hier.l1i[0].tag_of(7) == 42
-
-
-class TestAgeKernelViews:
-    """The age loop reads only packed events and prefix sums: its
-    engines bind two-item views and never build a trace's run tables,
-    which would cost every pool worker their build time and memory."""
-
-    @pytest.mark.parametrize("scheduler", ("base", "strex", "slicc"))
-    def test_lru_engines_build_no_run_tables(self, scheduler):
-        config = tiny_scale(num_cores=2)
-        traces = WORKLOADS["tpcc"](config.l1i_blocks, 7).generate_mix(
-            8, seed=7)
-        engine = SimulationEngine(config, traces, SCHEDULERS[scheduler])
-        assert engine._age_kernel
-        assert all(len(thread.view) == 2 for thread in engine.threads)
-        engine.run("tpcc")
-        assert all(not trace._run_tables for trace in traces)
 
 
 class TestBaselineScheduler:

@@ -14,12 +14,10 @@ objects rather than regenerating per path.
 
 import dataclasses
 import json
-import random
 
 import pytest
 
 from repro import obs
-from repro.cache.replacement import make_policy
 from repro.config import tiny_scale
 from repro.exp.diff import reference_diff
 from repro.exp.spec import RunSpec
@@ -133,7 +131,7 @@ class TestDifferentialEntryPoints:
         spec = RunSpec(workload="tpcc", scheduler="base", cores=2,
                        transactions=4, seed=7, scale="tiny")
         kernels = _kernels_run(lambda: reference_diff([spec]))
-        assert kernels == ["age", "reference"]
+        assert kernels == ["fast", "reference"]
 
     def test_fuzz_harness(self):
         case = FuzzCase(name="t", config=tiny_scale(2).to_dict(),
@@ -142,14 +140,14 @@ class TestDifferentialEntryPoints:
         outcomes = []
         kernels = _kernels_run(lambda: outcomes.append(run_case(case)))
         assert outcomes[0].ok
-        assert kernels == ["age", "reference"]
+        assert kernels == ["fast", "reference"]
 
     def test_perf_reference_series(self):
         kernels = _kernels_run(lambda: run_bench(
             scale="tiny", transactions=2, repeats=1,
             schedulers=("base",)))
         # Warm-up pair, then the timed pair, then the scheduler run.
-        assert kernels == ["age", "reference", "age", "reference", "age"]
+        assert kernels == ["fast", "reference", "fast", "reference", "fast"]
 
 
 class TestTracedParity:
@@ -182,19 +180,12 @@ class TestTracedParity:
         assert (tmp_path / "trace.jsonl").exists()
 
 
-#: Every registered policy the age loop cannot take.
-NON_AGE_POLICIES = tuple(
-    name for name in POLICIES
-    if make_policy(name, 1, 1, random.Random(0)).insert_mode != "mru")
-
-
 def _assert_state_parity(config, scheduler, prefetcher) -> None:
     traces = _traces("tpcc", config)
     states = []
     for reference in (False, True):
         engine = SimulationEngine(config, traces, scheduler, prefetcher,
                                   reference=reference)
-        assert not engine._age_kernel
         result = json.dumps(engine.run("tpcc").to_dict(), sort_keys=True)
         states.append((result, hierarchy_state(engine)))
     assert states[0] == states[1]
@@ -207,14 +198,14 @@ PREFETCHERS = (None, NextLinePrefetcher, PifIdealPrefetcher)
 
 
 class TestGeneralLoopCacheState:
-    """The general loop's inlined L1-I fill, home-slice L2 hit and
-    L1-D hit leave the hierarchy as the reference loop's calls do:
+    """The fast loop's inlined L1-I fill, home-slice L2 probe and fill
+    and L1-D hit leave the hierarchy as the reference loop's calls do:
     every L1-I, L1-D and L2 counter, the L2 demand traffic, the NoC's
     messages and hops and the prefetcher's coverage counts, for every
-    non-age policy and with every prefetcher."""
+    policy and with every prefetcher."""
 
     @pytest.mark.parametrize("prefetcher", PREFETCHERS)
-    @pytest.mark.parametrize("policy", NON_AGE_POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_l1i_counters_match_reference(
             self, policy, prefetcher):
         # The L1s only, as in Fig. 9: the L2 stays LRU, so its inline
@@ -223,7 +214,7 @@ class TestGeneralLoopCacheState:
         _assert_state_parity(config, StrexScheduler, prefetcher)
 
     @pytest.mark.parametrize("prefetcher", PREFETCHERS)
-    @pytest.mark.parametrize("policy", NON_AGE_POLICIES)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_every_level_matches_reference(self, policy, prefetcher):
         config = tiny_scale().with_l1_replacement(policy)
         config = dataclasses.replace(
@@ -235,8 +226,8 @@ class TestGeneralLoopCacheState:
 
     @pytest.mark.parametrize("prefetcher", PREFETCHERS[1:])
     def test_age_policies_with_a_prefetcher(self, prefetcher):
-        # LRU with a prefetcher takes the general loop's inlined
-        # order-list rotation fill.
+        # LRU with a prefetcher: the inlined order-list rotation fills
+        # with the prefetcher's calls in between.
         _assert_state_parity(tiny_scale(), StrexScheduler, prefetcher)
 
 
@@ -270,10 +261,13 @@ class MultiCallStrex(StrexScheduler):
         engine.run_events = multi_call
 
 
-#: STREX-monitored loop -> (config transform, prefetcher factory).  LRU
-#: takes the age loop; BIP (``fast``) takes the general loop, and a
-#: prefetcher the general loop too, with the L1-I's rotation fill; on the
-#: reference kernel all three take the reference loop.
+#: STREX-monitored configuration -> (config transform, prefetcher
+#: factory).  On the fast kernel all three take the one fast loop:
+#: ``age`` (the key kept from when LRU without a prefetcher had a loop
+#: of its own) is LRU, with the inlined rotation fills at the L1-I and
+#: L2; ``fast`` is BIP, with ``replace``/``miss_fill`` calls; and
+#: ``general`` is LRU with a prefetcher.  On the reference kernel all
+#: three take the reference loop.
 FLOOR_LOOPS = {
     "age": (lambda config: config, None),
     "fast": (lambda config: config.with_l1_replacement("bip"), None),
@@ -299,7 +293,6 @@ class TestStrexFloorInKernel:
             for scheduler in (StrexScheduler, MultiCallStrex)
         ]
         new, old = engines
-        assert new._age_kernel == (loop == "age" and not reference)
         assert new.prefetcher_active == (loop == "general")
         results = [
             json.dumps(engine.run("tpcc").to_dict(), sort_keys=True)
